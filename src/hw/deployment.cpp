@@ -5,6 +5,7 @@
 
 #include "core/fake_quant.hpp"
 #include "core/uniform_quant.hpp"
+#include "kernels/blocking.hpp"
 #include "nn/conv.hpp"
 #include "nn/linear.hpp"
 
@@ -82,11 +83,13 @@ writeBytes(std::ofstream& out, const std::vector<std::uint8_t>& bytes)
               static_cast<std::streamsize>(bytes.size()));
 }
 
+/** Read one length-prefixed byte block; a length beyond @p limit (the
+ *  file size) is corrupt and is refused before it sizes a buffer. */
 std::vector<std::uint8_t>
-readBytes(std::ifstream& in)
+readBytes(std::ifstream& in, std::uintmax_t limit)
 {
     const std::uint32_t len = readU32(in);
-    require(len < (1u << 28), "DeploymentImage: corrupt byte length");
+    require(len <= limit, "DeploymentImage: corrupt byte length");
     std::vector<std::uint8_t> bytes(len);
     in.read(reinterpret_cast<char*>(bytes.data()), len);
     return bytes;
@@ -219,15 +222,23 @@ DeploymentImage::save(const std::string& path) const
 DeploymentImage
 DeploymentImage::load(const std::string& path, const PackedTermFormat& fmt)
 {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     require(in.good(), "DeploymentImage::load: cannot open '", path, "'");
+    const auto file_size = static_cast<std::uintmax_t>(in.tellg());
+    in.seekg(0);
     require(readU32(in) == kMagic,
             "DeploymentImage::load: '", path, "' is not an image file");
 
     DeploymentImage image;
     image.fmt_ = fmt;
-    image.bits_ = static_cast<int>(readU32(in));
+    // Every header field is checked before it sizes or divides
+    // anything: a corrupt image must fail with a diagnostic.
+    const std::uint32_t bits = readU32(in);
+    require(bits >= 1 && bits <= 22, "DeploymentImage::load: bad bit "
+            "width ", bits, " (expected 1..22)");
+    image.bits_ = static_cast<int>(bits);
     image.groupSize_ = readU32(in);
+    require(image.groupSize_ > 0, "DeploymentImage::load: zero group size");
     const std::uint32_t rungs = readU32(in);
     require(rungs > 0 && rungs < 64, "DeploymentImage::load: bad ladder");
     for (std::uint32_t i = 0; i < rungs; ++i)
@@ -247,18 +258,26 @@ DeploymentImage::load(const std::string& path, const PackedTermFormat& fmt)
         in.read(reinterpret_cast<char*>(&layer.scale),
                 sizeof(layer.scale));
         const std::uint32_t n_groups = readU32(in);
+        require(layer.rowLen > 0, "DeploymentImage::load: zero row length");
         const std::size_t groups_per_row =
-            (layer.rowLen + image.groupSize_ - 1) / image.groupSize_;
-        require(n_groups == layer.rows * groups_per_row,
+            kernels::ceilDiv(layer.rowLen, image.groupSize_);
+        std::size_t expected_groups = 0;
+        require(!__builtin_mul_overflow(layer.rows, groups_per_row,
+                                        &expected_groups) &&
+                    n_groups == expected_groups,
                 "DeploymentImage::load: group count mismatch");
         for (std::uint32_t q = 0; q < n_groups; ++q) {
             const std::size_t group_size = readU32(in);
-            auto terms = readBytes(in);
-            auto indexes = readBytes(in);
+            auto terms = readBytes(in, file_size);
+            auto indexes = readBytes(in, file_size);
+            require(in.good(), "DeploymentImage::load: truncated group");
             // Tail groups carry proportionally scaled rungs.
             const std::size_t col = q % groups_per_row;
             const std::size_t len = std::min(
                 image.groupSize_, layer.rowLen - col * image.groupSize_);
+            require(group_size == len, "DeploymentImage::load: group ", q,
+                    " stores ", group_size, " values, its slot holds ",
+                    len);
             std::vector<std::size_t> rung_ladder;
             for (std::size_t rung : image.ladder_)
                 rung_ladder.push_back(

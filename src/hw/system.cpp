@@ -171,7 +171,7 @@ HwInferenceEngine::runConv(Conv2d& conv, const Tensor& x, float data_clip,
         for (std::size_t r = 0; r < k; ++r)
             for (std::size_t c = 0; c < positions; ++c)
                 x_int[r * positions + c] =
-                    xq.quantize(cols(img, r, c));
+                    xq.quantize(cols(r, img, c));
         const std::vector<std::int64_t> prod =
             arrayMatmul(w_int, m, k, x_int, positions, name);
         for (std::size_t i = 0; i < m * positions; ++i)

@@ -30,6 +30,15 @@ namespace kernels {
  */
 constexpr std::size_t kDotLanes = 16;
 
+/**
+ * Column-block width of the axpy-row GEMMs (matmul, matmulTransA).
+ * Products with n <= this width are chunked by output row only; wider
+ * ones are cut into (row, column block) tiles so a K x width panel of
+ * B stays in L2 across rows.  A tile boundary never splits an output
+ * element's k-chain, so the width affects speed, not bits.
+ */
+constexpr std::size_t kGemmColumnBlock = 1024;
+
 /** Exponent bound of any power-of-two term we handle (matches the
  *  encodeNaf/encodeBooth runaway invariant in src/core/sdr.cpp). */
 constexpr std::size_t kMaxTermExponent = 72;

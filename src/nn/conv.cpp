@@ -11,6 +11,26 @@
 
 namespace mrq {
 
+namespace {
+
+/** Reorder [a, b, plane] into [b, a, plane]: NCHW to channel-major
+ *  [C, N, plane] and back. */
+void
+swapLeadingAxes(const float* src, float* dst, std::size_t a, std::size_t b,
+                std::size_t plane)
+{
+    parallelFor(b, parallelGrain(a * plane),
+                [&](std::size_t j0, std::size_t j1) {
+        for (std::size_t j = j0; j < j1; ++j)
+            for (std::size_t i = 0; i < a; ++i) {
+                const float* row = src + (i * b + j) * plane;
+                std::copy(row, row + plane, dst + (j * a + i) * plane);
+            }
+    });
+}
+
+} // namespace
+
 Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
                std::size_t kernel, std::size_t stride, std::size_t pad,
                Rng& rng, bool bias)
@@ -41,38 +61,29 @@ Conv2d::forward(const Tensor& x)
     const std::size_t oh = convOutSize(inH_, kernel_, stride_, pad_);
     const std::size_t ow = convOutSize(inW_, kernel_, stride_, pad_);
 
+    // Channel-major columns viewed as [K, N*OH*OW]: the whole batch is
+    // one matmul, and each output element's ascending-k fma chain is
+    // the same as in a per-image product.
+    const std::size_t plane = oh * ow;
+    const std::size_t cols_rows = inChannels_ * kernel_ * kernel_;
     cachedCols_ = im2col(x, kernel_, stride_, pad_);
+    cachedCols_.reshape({cols_rows, n * plane});
     cachedWq_ = quantizer_.project(weight_);
-    quantizer_.addMacs(n * outChannels_ * inChannels_ * kernel_ * kernel_ *
-                       oh * ow);
+    quantizer_.addMacs(n * outChannels_ * cols_rows * plane);
+
+    Tensor out = matmul(cachedWq_, cachedCols_); // [outC, N*OH*OW]
+    if (hasBias_) {
+        const kernels::KernelTable& kt = kernels::kernels();
+        for (std::size_t c = 0; c < outChannels_; ++c)
+            kt.addScalarInPlace(out.data() + c * n * plane, bias_.value[c],
+                                n * plane);
+        kernels::recordKernelElems(
+            kernels::KernelId::AddScalar,
+            static_cast<std::int64_t>(outChannels_ * n * plane));
+    }
 
     Tensor y({n, outChannels_, oh, ow});
-    const std::size_t cols_rows = cachedCols_.dim(1);
-    const std::size_t cols_cols = cachedCols_.dim(2);
-    // Images are independent; the inner matmul runs inline when this
-    // loop is already parallel.
-    parallelFor(n, 1, [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t img = i0; img < i1; ++img) {
-            // View image's columns as a matrix and multiply.
-            Tensor cols_mat({cols_rows, cols_cols});
-            std::copy(cachedCols_.data() + img * cols_rows * cols_cols,
-                      cachedCols_.data() + (img + 1) * cols_rows * cols_cols,
-                      cols_mat.data());
-            Tensor out = matmul(cachedWq_, cols_mat); // [outC, OH*OW]
-            std::copy(out.data(), out.data() + out.size(),
-                      y.data() + img * outChannels_ * oh * ow);
-            if (hasBias_) {
-                const kernels::KernelTable& kt = kernels::kernels();
-                for (std::size_t c = 0; c < outChannels_; ++c)
-                    kt.addScalarInPlace(
-                        y.data() + (img * outChannels_ + c) * oh * ow,
-                        bias_.value[c], oh * ow);
-                kernels::recordKernelElems(
-                    kernels::KernelId::AddScalar,
-                    static_cast<std::int64_t>(outChannels_ * oh * ow));
-            }
-        }
-    });
+    swapLeadingAxes(out.data(), y.data(), outChannels_, n, plane);
     return y;
 }
 
@@ -83,17 +94,23 @@ Conv2d::backward(const Tensor& dy)
     require(dy.rank() == 4 && dy.dim(1) == outChannels_,
             "Conv2d::backward: gradient shape mismatch");
     const std::size_t n = dy.dim(0);
-    const std::size_t oh = dy.dim(2), ow = dy.dim(3);
-    const std::size_t cols_rows = cachedCols_.dim(1);
-    const std::size_t cols_cols = cachedCols_.dim(2);
-    require(cols_cols == oh * ow, "Conv2d::backward: spatial mismatch");
+    const std::size_t plane = dy.dim(2) * dy.dim(3);
+    const std::size_t cols_rows = cachedCols_.dim(0);
+    require(cachedCols_.dim(1) == n * plane,
+            "Conv2d::backward: spatial mismatch");
 
-    Tensor dcols({n, cols_rows, cols_cols});
+    // dY gathered channel-major, [outC, N*OH*OW], so dcols = Wq^T * dY
+    // is one product that lands directly in im2col's layout.
+    Tensor dy_cm({outChannels_, n * plane});
+    swapLeadingAxes(dy.data(), dy_cm.data(), n, outChannels_, plane);
+    Tensor dcols = matmulTransA(cachedWq_, dy_cm); // [K, N*OH*OW]
+    dcols.reshape({cols_rows, n, plane});
 
     // Per-image contributions to dW (and the bias gradient) are summed
     // via fixed-boundary chunk partials combined in chunk order, so
-    // the totals are thread-count independent; dcols rows are disjoint
-    // per image.
+    // the totals are thread-count independent.  Each image's dW entry
+    // is one dot of two contiguous rows, dy[img, c, :] and
+    // cols[k, img, :].
     struct GradPartial
     {
         Tensor dw;
@@ -104,6 +121,10 @@ Conv2d::backward(const Tensor& dy)
     if (hasBias_)
         identity.bias = Tensor({outChannels_});
 
+    const kernels::KernelTable& kt = kernels::kernels();
+    kernels::KernelRegion kr(
+        kernels::KernelId::GemmDot,
+        static_cast<std::int64_t>(n * outChannels_ * cols_rows * plane));
     const GradPartial total = parallelReduce(
         n, std::size_t{1}, identity,
         [&](std::size_t i0, std::size_t i1) {
@@ -112,27 +133,16 @@ Conv2d::backward(const Tensor& dy)
             if (hasBias_)
                 part.bias = Tensor({outChannels_});
             for (std::size_t img = i0; img < i1; ++img) {
-                Tensor dy_mat({outChannels_, cols_cols});
-                std::copy(dy.data() + img * outChannels_ * cols_cols,
-                          dy.data() + (img + 1) * outChannels_ * cols_cols,
-                          dy_mat.data());
-                Tensor cols_mat({cols_rows, cols_cols});
-                std::copy(
-                    cachedCols_.data() + img * cols_rows * cols_cols,
-                    cachedCols_.data() + (img + 1) * cols_rows * cols_cols,
-                    cols_mat.data());
-
-                // dW += dy_mat * cols^T.
-                part.dw += matmulTransB(dy_mat, cols_mat);
-                // dcols = Wq^T * dy_mat.
-                Tensor dc = matmulTransA(cachedWq_, dy_mat);
-                std::copy(dc.data(), dc.data() + dc.size(),
-                          dcols.data() + img * cols_rows * cols_cols);
-
-                if (hasBias_) {
-                    for (std::size_t c = 0; c < outChannels_; ++c)
-                        for (std::size_t i = 0; i < cols_cols; ++i)
-                            part.bias[c] += dy_mat(c, i);
+                for (std::size_t c = 0; c < outChannels_; ++c) {
+                    const float* g =
+                        dy.data() + (img * outChannels_ + c) * plane;
+                    for (std::size_t r = 0; r < cols_rows; ++r)
+                        part.dw(c, r) += kt.dot(
+                            g, cachedCols_.data() + (r * n + img) * plane,
+                            plane);
+                    if (hasBias_)
+                        for (std::size_t i = 0; i < plane; ++i)
+                            part.bias[c] += g[i];
                 }
             }
             return part;

@@ -12,7 +12,8 @@
 
 namespace mrq {
 
-/** Standard NCHW convolution lowered through im2col. */
+/** Standard NCHW convolution lowered through im2col: one matmul per
+ *  batch (see DESIGN.md, "Conv path"). */
 class Conv2d : public Module
 {
   public:
@@ -56,7 +57,7 @@ class Conv2d : public Module
     Parameter bias_{"conv.bias"};
     WeightQuantizer quantizer_{"conv.clip_w"};
 
-    Tensor cachedCols_; ///< [N, inC*k*k, OH*OW]
+    Tensor cachedCols_; ///< im2col columns viewed as [inC*k*k, N*OH*OW]
     Tensor cachedWq_;
     std::size_t inH_ = 0, inW_ = 0;
 };

@@ -17,7 +17,7 @@
  * (including the serial MRQ_THREADS=1 execution of the same chunks).
  *
  * Nesting: a parallel region entered from inside a worker (e.g. a
- * matmul called from a parallelized per-image conv loop) runs inline
+ * matmul called from another parallelFor body) runs inline
  * on the calling thread, so nested parallelism degrades gracefully
  * instead of deadlocking the pool.
  */

@@ -1,10 +1,78 @@
 #include "tensor/ops.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "kernels/kernels.hpp"
 #include "kernels/roofline.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace mrq {
+
+namespace {
+
+/**
+ * Shared body of the axpy-row products C = op(A) * B, where op(A)'s
+ * element (i, kk) sits at pa[i * a_row + kk * a_col].  Each output
+ * element accumulates one fma per nonzero op(A)(i, kk) in ascending-k
+ * order.  Rows of C are independent; rows longer than
+ * kGemmColumnBlock are further cut into fixed column blocks (tiles
+ * walk the rows of one block before the next, so its B panel is
+ * reused).  Chunk boundaries depend only on the shape, so the bits
+ * match the serial loop at any thread count and any tile width.
+ */
+void
+axpyRowGemm(const float* pa, std::size_t a_row, std::size_t a_col,
+            const float* pb, float* pc, std::size_t m, std::size_t k,
+            std::size_t n)
+{
+    const kernels::KernelTable& kt = kernels::kernels();
+    kernels::KernelRegion kr(kernels::KernelId::GemmAxpy,
+                             static_cast<std::int64_t>(m * k * n));
+    const auto tile = [&](std::size_t i, std::size_t j0, std::size_t j1) {
+        for (std::size_t kk = 0; kk < k; ++kk) {
+            const float aik = pa[i * a_row + kk * a_col];
+            if (aik == 0.0f)
+                continue;
+            kt.axpy(aik, pb + kk * n + j0, pc + i * n + j0, j1 - j0);
+        }
+    };
+    constexpr std::size_t nb = kernels::kGemmColumnBlock;
+    if (n <= nb) {
+        parallelFor(m, parallelGrain(k * n),
+                    [&](std::size_t i0, std::size_t i1) {
+            for (std::size_t i = i0; i < i1; ++i)
+                tile(i, 0, n);
+        });
+        return;
+    }
+    const std::size_t blocks = kernels::ceilDiv(n, nb);
+    parallelFor(blocks * m, parallelGrain(k * nb),
+                [&](std::size_t t0, std::size_t t1) {
+        for (std::size_t t = t0; t < t1; ++t) {
+            const std::size_t j0 = (t / m) * nb;
+            tile(t % m, j0, std::min(n, j0 + nb));
+        }
+    });
+}
+
+/**
+ * Output positions [lo, hi) along one axis whose input coordinate
+ * o * stride + tap - pad lies inside [0, in).
+ */
+std::pair<std::size_t, std::size_t>
+validTapRange(std::size_t in, std::size_t out, std::size_t tap,
+              std::size_t stride, std::size_t pad)
+{
+    const std::size_t lo = std::min(
+        out, tap >= pad ? 0 : kernels::ceilDiv(pad - tap, stride));
+    const std::size_t lim = in + pad > tap ? in + pad - tap : 0;
+    const std::size_t hi =
+        std::max(lo, std::min(out, kernels::ceilDiv(lim, stride)));
+    return {lo, hi};
+}
+
+} // namespace
 
 Tensor
 matmul(const Tensor& a, const Tensor& b)
@@ -15,25 +83,7 @@ matmul(const Tensor& a, const Tensor& b)
             a.shapeString(), " x ", b.shapeString());
 
     Tensor c({m, n});
-    const float* pa = a.data();
-    const float* pb = b.data();
-    float* pc = c.data();
-    // Rows of C are independent; within each row the ikj order keeps
-    // the inner loop contiguous over both B and C, and accumulation
-    // per element stays in ascending-k order on every thread count.
-    const kernels::KernelTable& kt = kernels::kernels();
-    kernels::KernelRegion kr(kernels::KernelId::GemmAxpy,
-                             static_cast<std::int64_t>(m * k * n));
-    parallelFor(m, parallelGrain(k * n), [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) {
-            for (std::size_t kk = 0; kk < k; ++kk) {
-                const float aik = pa[i * k + kk];
-                if (aik == 0.0f)
-                    continue;
-                kt.axpy(aik, pb + kk * n, pc + i * n, n);
-            }
-        }
-    });
+    axpyRowGemm(a.data(), k, 1, b.data(), c.data(), m, k, n);
     return c;
 }
 
@@ -46,26 +96,7 @@ matmulTransA(const Tensor& a, const Tensor& b)
     require(b.dim(0) == k, "matmulTransA: inner dimensions differ");
 
     Tensor c({m, n});
-    const float* pa = a.data();
-    const float* pb = b.data();
-    float* pc = c.data();
-    // i-outer so output rows are independent; each element still
-    // accumulates in ascending-k order, matching the k-outer serial
-    // loop bit for bit.
-    const kernels::KernelTable& kt = kernels::kernels();
-    kernels::KernelRegion kr(kernels::KernelId::GemmAxpy,
-                             static_cast<std::int64_t>(m * k * n));
-    parallelFor(m, parallelGrain(k * n), [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) {
-            float* crow = pc + i * n;
-            for (std::size_t kk = 0; kk < k; ++kk) {
-                const float aki = pa[kk * m + i];
-                if (aki == 0.0f)
-                    continue;
-                kt.axpy(aki, pb + kk * n, crow, n);
-            }
-        }
-    });
+    axpyRowGemm(a.data(), 1, m, b.data(), c.data(), m, k, n);
     return c;
 }
 
@@ -121,34 +152,47 @@ im2col(const Tensor& input, std::size_t kernel, std::size_t stride,
     const std::size_t h = input.dim(2), w = input.dim(3);
     const std::size_t oh = convOutSize(h, kernel, stride, pad);
     const std::size_t ow = convOutSize(w, kernel, stride, pad);
+    const std::size_t plane = oh * ow;
+    const std::size_t rows = c * kernel * kernel;
 
-    Tensor cols({n, c * kernel * kernel, oh * ow});
-    // Each (image, channel) pair fills a disjoint band of rows.
-    const std::size_t per_pair = kernel * kernel * oh * ow;
-    parallelFor(n * c, parallelGrain(per_pair),
-                [&](std::size_t p0, std::size_t p1) {
-        for (std::size_t p = p0; p < p1; ++p) {
-            const std::size_t img = p / c;
-            const std::size_t ch = p % c;
-            for (std::size_t ky = 0; ky < kernel; ++ky) {
-                for (std::size_t kx = 0; kx < kernel; ++kx) {
-                    const std::size_t row = (ch * kernel + ky) * kernel + kx;
-                    for (std::size_t oy = 0; oy < oh; ++oy) {
-                        const long iy = static_cast<long>(oy * stride + ky) -
-                                        static_cast<long>(pad);
-                        for (std::size_t ox = 0; ox < ow; ++ox) {
-                            const long ix =
-                                static_cast<long>(ox * stride + kx) -
-                                static_cast<long>(pad);
-                            float v = 0.0f;
-                            if (iy >= 0 && iy < static_cast<long>(h) &&
-                                ix >= 0 && ix < static_cast<long>(w)) {
-                                v = input(img, ch,
-                                          static_cast<std::size_t>(iy),
-                                          static_cast<std::size_t>(ix));
-                            }
-                            cols(img, row, oy * ow + ox) = v;
-                        }
+    Tensor cols({rows, n, plane});
+    const float* px = input.data();
+    float* pc = cols.data();
+    // Row (ch, ky, kx) is one disjoint band of N * OH*OW columns.  In
+    // each output row the in-range taps are one run of an input row:
+    // contiguous at stride 1, strided otherwise; the rest is padding.
+    parallelFor(rows, parallelGrain(n * plane),
+                [&](std::size_t r0, std::size_t r1) {
+        for (std::size_t r = r0; r < r1; ++r) {
+            const std::size_t ch = r / (kernel * kernel);
+            const std::size_t ky = r / kernel % kernel;
+            const std::size_t kx = r % kernel;
+            const auto [lo, hi] = validTapRange(w, ow, kx, stride, pad);
+            for (std::size_t img = 0; img < n; ++img) {
+                const float* src = px + (img * c + ch) * h * w;
+                float* dst = pc + (r * n + img) * plane;
+                for (std::size_t oy = 0; oy < oh; ++oy) {
+                    float* drow = dst + oy * ow;
+                    const long iy = static_cast<long>(oy * stride + ky) -
+                                    static_cast<long>(pad);
+                    if (iy < 0 || iy >= static_cast<long>(h)) {
+                        std::fill(drow, drow + ow, 0.0f);
+                        continue;
+                    }
+                    std::fill(drow, drow + lo, 0.0f);
+                    std::fill(drow + hi, drow + ow, 0.0f);
+                    if (lo == hi)
+                        continue;
+                    // Output column lo + t reads input column
+                    // ix0 + t * stride.
+                    const float* srow = src +
+                                        static_cast<std::size_t>(iy) * w +
+                                        (lo * stride + kx - pad);
+                    if (stride == 1) {
+                        std::copy(srow, srow + (hi - lo), drow + lo);
+                    } else {
+                        for (std::size_t t = 0; t < hi - lo; ++t)
+                            drow[lo + t] = srow[t * stride];
                     }
                 }
             }
@@ -162,39 +206,44 @@ col2im(const Tensor& cols, std::size_t c, std::size_t h, std::size_t w,
        std::size_t kernel, std::size_t stride, std::size_t pad)
 {
     require(cols.rank() == 3, "col2im: rank-3 columns required");
-    const std::size_t n = cols.dim(0);
+    const std::size_t n = cols.dim(1);
     const std::size_t oh = convOutSize(h, kernel, stride, pad);
     const std::size_t ow = convOutSize(w, kernel, stride, pad);
-    require(cols.dim(1) == c * kernel * kernel &&
-            cols.dim(2) == oh * ow, "col2im: column shape mismatch");
+    const std::size_t plane = oh * ow;
+    require(cols.dim(0) == c * kernel * kernel && cols.dim(2) == plane,
+            "col2im: column shape mismatch");
 
     Tensor img({n, c, h, w});
+    const float* pc = cols.data();
+    float* pi = img.data();
     // Scatter-adds from one (image, channel) pair land only in that
-    // pair's plane, so pairs are independent.
-    const std::size_t per_pair = kernel * kernel * oh * ow;
-    parallelFor(n * c, parallelGrain(per_pair),
+    // pair's plane, so pairs are independent; each pixel accumulates
+    // its taps in (ky, kx, oy, ox) order.
+    parallelFor(n * c, parallelGrain(kernel * kernel * plane),
                 [&](std::size_t p0, std::size_t p1) {
         for (std::size_t p = p0; p < p1; ++p) {
             const std::size_t im = p / c;
             const std::size_t ch = p % c;
+            float* dst = pi + p * h * w;
             for (std::size_t ky = 0; ky < kernel; ++ky) {
                 for (std::size_t kx = 0; kx < kernel; ++kx) {
                     const std::size_t row = (ch * kernel + ky) * kernel + kx;
+                    const float* src = pc + (row * n + im) * plane;
+                    const auto [lo, hi] =
+                        validTapRange(w, ow, kx, stride, pad);
+                    if (lo == hi)
+                        continue;
                     for (std::size_t oy = 0; oy < oh; ++oy) {
                         const long iy = static_cast<long>(oy * stride + ky) -
                                         static_cast<long>(pad);
                         if (iy < 0 || iy >= static_cast<long>(h))
                             continue;
-                        for (std::size_t ox = 0; ox < ow; ++ox) {
-                            const long ix =
-                                static_cast<long>(ox * stride + kx) -
-                                static_cast<long>(pad);
-                            if (ix < 0 || ix >= static_cast<long>(w))
-                                continue;
-                            img(im, ch, static_cast<std::size_t>(iy),
-                                static_cast<std::size_t>(ix)) +=
-                                cols(im, row, oy * ow + ox);
-                        }
+                        float* drow = dst +
+                                      static_cast<std::size_t>(iy) * w +
+                                      (lo * stride + kx - pad);
+                        const float* srow = src + oy * ow + lo;
+                        for (std::size_t t = 0; t < hi - lo; ++t)
+                            drow[t * stride] += srow[t];
                     }
                 }
             }

@@ -4,9 +4,10 @@
  *
  * All kernels run on the shared runtime thread pool (see
  * src/runtime/thread_pool.hpp): work is chunked over independent
- * output rows or (image, channel) planes with thread-count-independent
- * chunk boundaries, so results are bit-identical at any MRQ_THREADS
- * setting.  im2col / col2im implement the standard convolution
+ * output rows (or row x column-block tiles), column rows or
+ * (image, channel) planes with thread-count-independent chunk
+ * boundaries, so results are bit-identical at any MRQ_THREADS
+ * setting.  im2col / col2im implement the channel-major convolution
  * lowering used by the Conv2d layer.
  */
 
@@ -36,13 +37,18 @@ Tensor matmulTransB(const Tensor& a, const Tensor& b);
 Tensor transpose2d(const Tensor& a);
 
 /**
- * Lower an NCHW input into convolution columns.
+ * Lower an NCHW input into channel-major convolution columns.
+ *
+ * Row r = (ch, ky, kx) holds, image after image, the input value each
+ * output position reads through that tap (zero where it falls in the
+ * padding).  Viewed as [c*kernel*kernel, n*out_h*out_w], the columns
+ * feed a whole batch through one matmul.
  *
  * @param input  Shape [n, c, h, w].
  * @param kernel Kernel size (square).
  * @param stride Stride (same both axes).
  * @param pad    Zero padding (same all sides).
- * @return Shape [n, c*kernel*kernel, out_h*out_w].
+ * @return Shape [c*kernel*kernel, n, out_h*out_w].
  */
 Tensor im2col(const Tensor& input, std::size_t kernel, std::size_t stride,
               std::size_t pad);
@@ -50,7 +56,7 @@ Tensor im2col(const Tensor& input, std::size_t kernel, std::size_t stride,
 /**
  * Inverse of im2col: scatter-add columns back into an NCHW gradient.
  *
- * @param cols Shape [n, c*kernel*kernel, out_h*out_w].
+ * @param cols Shape [c*kernel*kernel, n, out_h*out_w] (im2col's layout).
  * @param c,h,w Original spatial geometry.
  */
 Tensor col2im(const Tensor& cols, std::size_t c, std::size_t h,

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 
 #include "core/fake_quant.hpp"
 #include "core/uniform_quant.hpp"
@@ -165,6 +168,51 @@ TEST(Deployment, LoadRejectsGarbage)
         out << "not an image";
     }
     EXPECT_THROW(DeploymentImage::load(path), FatalError);
+    std::remove(path.c_str());
+}
+
+TEST(Deployment, LoadSurvivesEveryCorruptedHeaderWord)
+{
+    // Overwrite every 4-byte window of a valid image (so every header
+    // word, aligned or not) with 0 and with 0xFFFFFFFF: each mutant
+    // must load or throw FatalError, never die with a signal.
+    Rng rng(7);
+    auto model = smallCnn(rng);
+    const auto image = DeploymentImage::build(*model, 5, 16, kLadder);
+    const std::string path = ::testing::TempDir() + "mrq_mutant.bin";
+    image.save(path);
+    std::vector<char> bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    ASSERT_GT(bytes.size(), 16u);
+
+    const auto load_mutant = [&](std::size_t offset, std::uint32_t word) {
+        std::vector<char> mutant = bytes;
+        std::memcpy(mutant.data() + offset, &word, sizeof(word));
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out.write(mutant.data(),
+                      static_cast<std::streamsize>(mutant.size()));
+        }
+        try {
+            (void)DeploymentImage::load(path);
+            return true;
+        } catch (const FatalError&) {
+            return false;
+        }
+    };
+    std::size_t rejected = 0;
+    for (std::size_t offset = 0; offset + 4 <= bytes.size(); ++offset)
+        for (std::uint32_t word : {0u, 0xFFFF'FFFFu})
+            rejected += load_mutant(offset, word) ? 0 : 1;
+    EXPECT_GT(rejected, 0u);
+
+    // The word that used to divide by zero: the group size (offset 8,
+    // after magic and bits).
+    EXPECT_FALSE(load_mutant(8, 0u));
     std::remove(path.c_str());
 }
 

@@ -5,13 +5,16 @@
  * every thread count, including odd sizes that exercise the masked
  * vector tails.  Also pins the streaming TQ helpers (tqValueKeepTop,
  * tqGroupProject) to the reference term_quant implementations and the
- * lattice kernels to UniformQuantizer.
+ * lattice kernels to UniformQuantizer, and the batched Conv2d to a
+ * per-image conv lowering built from the public matmul variants.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -19,6 +22,7 @@
 #include "core/term_quant.hpp"
 #include "core/uniform_quant.hpp"
 #include "kernels/kernels.hpp"
+#include "nn/conv.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/ops.hpp"
 
@@ -335,6 +339,225 @@ TEST_F(ParityTest, MatmulAndFakeQuantInvariantAcrossIsaAndThreads)
                 EXPECT_TRUE(bitEqual(ref_fq, fq_bits))
                     << "fakeQuant isa=" << kernels::isaName(isa)
                     << " threads=" << threads;
+            }
+        }
+    }
+    ThreadPool::instance().resize(saved_threads);
+}
+
+/** Conv2d outputs and gradients, as raw floats. */
+struct ConvRun
+{
+    std::vector<float> y, dx, dw, dbias;
+};
+
+std::vector<float>
+flatOf(const Tensor& t)
+{
+    return std::vector<float>(t.data(), t.data() + t.size());
+}
+
+/**
+ * The per-image conv lowering, written out with the public matmul
+ * variants: [N, K, OH*OW] columns from a naive im2col, one
+ * matmul(W, cols[img]) per image plus a per-(image, channel) bias add,
+ * per-image dW = dy[img] * cols[img]^T and dcols[img] = W^T * dy[img]
+ * folded in image order, and a naive (ky, kx, oy, ox)-ordered col2im.
+ * Grads are returned as a fresh zero gradient plus the folded sum, as
+ * a Parameter accumulates them.
+ */
+ConvRun
+perImageConv(const Tensor& x, const Tensor& w, const Tensor* bias,
+             const Tensor& dy, std::size_t kernel, std::size_t stride,
+             std::size_t pad)
+{
+    const std::size_t n = x.dim(0), in_c = x.dim(1);
+    const std::size_t h = x.dim(2), wd = x.dim(3);
+    const std::size_t out_c = w.dim(0), kdim = w.dim(1);
+    const std::size_t oh = convOutSize(h, kernel, stride, pad);
+    const std::size_t ow = convOutSize(wd, kernel, stride, pad);
+    const std::size_t plane = oh * ow;
+    // Input coordinate of output o through tap t, or -1 in padding.
+    const auto coord = [&](std::size_t o, std::size_t t, std::size_t in) {
+        const long v = static_cast<long>(o * stride + t) -
+                       static_cast<long>(pad);
+        return v >= 0 && v < static_cast<long>(in) ? v : -1L;
+    };
+
+    Tensor cols({n, kdim, plane});
+    for (std::size_t img = 0; img < n; ++img)
+        for (std::size_t ch = 0; ch < in_c; ++ch)
+            for (std::size_t ky = 0; ky < kernel; ++ky)
+                for (std::size_t kx = 0; kx < kernel; ++kx)
+                    for (std::size_t oy = 0; oy < oh; ++oy)
+                        for (std::size_t ox = 0; ox < ow; ++ox) {
+                            const long iy = coord(oy, ky, h);
+                            const long ix = coord(ox, kx, wd);
+                            if (iy < 0 || ix < 0)
+                                continue;
+                            cols(img, (ch * kernel + ky) * kernel + kx,
+                                 oy * ow + ox) =
+                                x(img, ch, static_cast<std::size_t>(iy),
+                                  static_cast<std::size_t>(ix));
+                        }
+
+    const KernelTable& kt = kernels::kernels();
+    Tensor y({n, out_c, oh, ow});
+    Tensor dcols({n, kdim, plane});
+    Tensor dw_sum({out_c, kdim});
+    Tensor db_sum({out_c});
+    for (std::size_t img = 0; img < n; ++img) {
+        Tensor cols_mat({kdim, plane});
+        std::copy(cols.data() + img * kdim * plane,
+                  cols.data() + (img + 1) * kdim * plane, cols_mat.data());
+        Tensor dy_mat({out_c, plane});
+        std::copy(dy.data() + img * out_c * plane,
+                  dy.data() + (img + 1) * out_c * plane, dy_mat.data());
+
+        const Tensor out = matmul(w, cols_mat);
+        float* yimg = y.data() + img * out_c * plane;
+        std::copy(out.data(), out.data() + out.size(), yimg);
+        if (bias != nullptr)
+            for (std::size_t c = 0; c < out_c; ++c)
+                kt.addScalarInPlace(yimg + c * plane, (*bias)[c], plane);
+
+        Tensor dw_part({out_c, kdim});
+        dw_part += matmulTransB(dy_mat, cols_mat);
+        dw_sum += dw_part;
+        const Tensor dc = matmulTransA(w, dy_mat);
+        std::copy(dc.data(), dc.data() + dc.size(),
+                  dcols.data() + img * kdim * plane);
+        Tensor db_part({out_c});
+        for (std::size_t c = 0; c < out_c; ++c)
+            for (std::size_t i = 0; i < plane; ++i)
+                db_part[c] += dy_mat(c, i);
+        db_sum += db_part;
+    }
+
+    Tensor dx({n, in_c, h, wd});
+    for (std::size_t img = 0; img < n; ++img)
+        for (std::size_t ch = 0; ch < in_c; ++ch)
+            for (std::size_t ky = 0; ky < kernel; ++ky)
+                for (std::size_t kx = 0; kx < kernel; ++kx)
+                    for (std::size_t oy = 0; oy < oh; ++oy)
+                        for (std::size_t ox = 0; ox < ow; ++ox) {
+                            const long iy = coord(oy, ky, h);
+                            const long ix = coord(ox, kx, wd);
+                            if (iy < 0 || ix < 0)
+                                continue;
+                            dx(img, ch, static_cast<std::size_t>(iy),
+                               static_cast<std::size_t>(ix)) +=
+                                dcols(img, (ch * kernel + ky) * kernel + kx,
+                                      oy * ow + ox);
+                        }
+
+    Tensor dw({out_c, kdim});
+    dw += dw_sum;
+    ConvRun run{flatOf(y), flatOf(dx), flatOf(dw), {}};
+    if (bias != nullptr) {
+        Tensor db({out_c});
+        db += db_sum;
+        run.dbias = flatOf(db);
+    }
+    return run;
+}
+
+/** One shape of the Conv2d parity sweep. */
+struct ConvCase
+{
+    std::size_t n, in_c, out_c, h, w, kernel, stride, pad;
+    bool bias;
+};
+
+TEST_F(ParityTest, Conv2dMatchesPerImageLoweringAcrossIsaAndThreads)
+{
+    // The batched Conv2d (one matmul over [K, N*OH*OW] columns, dcols
+    // as one matmulTransA, per-image dW dots) must reproduce the
+    // per-image lowering byte for byte: forward output, dX, dW and the
+    // bias gradient, at every thread count and ISA.
+    Rng rng(108);
+    const std::size_t batches[] = {1, 3, 7};
+    std::vector<ConvCase> cases;
+    while (cases.size() < 16) {
+        ConvCase cc{};
+        cc.n = batches[rng.uniformInt(3)];
+        cc.in_c = 1 + rng.uniformInt(4);
+        cc.out_c = 1 + rng.uniformInt(5);
+        cc.h = 1 + rng.uniformInt(9);
+        cc.w = 1 + rng.uniformInt(9);
+        cc.kernel = rng.bernoulli(0.5) ? 3 : 1;
+        cc.stride = 1 + rng.uniformInt(2);
+        cc.pad = rng.uniformInt(2);
+        cc.bias = rng.bernoulli(0.5);
+        if (cc.h + 2 * cc.pad < cc.kernel || cc.w + 2 * cc.pad < cc.kernel)
+            continue;
+        cases.push_back(cc);
+    }
+    // H < k, padded so the sweep is defined.
+    cases.push_back({3, 2, 3, 1, 2, 3, 1, 1, true});
+    // N * OH * OW above kGemmColumnBlock: the column-blocked matmul.
+    cases.push_back({7, 2, 3, 16, 15, 3, 1, 1, true});
+
+    const std::size_t saved_threads = ThreadPool::instance().threadCount();
+    for (const ConvCase& cc : cases) {
+        const std::string tag =
+            "n=" + std::to_string(cc.n) + " c=" + std::to_string(cc.in_c) +
+            "->" + std::to_string(cc.out_c) + " " + std::to_string(cc.h) +
+            "x" + std::to_string(cc.w) + " k=" + std::to_string(cc.kernel) +
+            " s=" + std::to_string(cc.stride) +
+            " p=" + std::to_string(cc.pad) + " bias=" +
+            std::to_string(cc.bias);
+        const std::size_t kdim = cc.in_c * cc.kernel * cc.kernel;
+        Tensor x({cc.n, cc.in_c, cc.h, cc.w});
+        for (std::size_t i = 0; i < x.size(); ++i)
+            x[i] = static_cast<float>(rng.normal());
+        // A quarter of the weights are exact zeros (the matmul skip).
+        Tensor w({cc.out_c, kdim});
+        for (std::size_t i = 0; i < w.size(); ++i)
+            w[i] = rng.bernoulli(0.25) ? 0.0f
+                                       : static_cast<float>(rng.normal());
+        Tensor bias({cc.out_c});
+        for (std::size_t i = 0; i < bias.size(); ++i)
+            bias[i] = static_cast<float>(rng.normal());
+        const std::size_t oh =
+            convOutSize(cc.h, cc.kernel, cc.stride, cc.pad);
+        const std::size_t ow =
+            convOutSize(cc.w, cc.kernel, cc.stride, cc.pad);
+        Tensor dy({cc.n, cc.out_c, oh, ow});
+        for (std::size_t i = 0; i < dy.size(); ++i)
+            dy[i] = static_cast<float>(rng.normal());
+
+        kernels::setActiveIsa(Isa::Generic);
+        ThreadPool::instance().resize(1);
+        const ConvRun want = perImageConv(x, w, cc.bias ? &bias : nullptr,
+                                          dy, cc.kernel, cc.stride, cc.pad);
+
+        for (Isa isa : compiledIsas()) {
+            kernels::setActiveIsa(isa);
+            for (std::size_t threads : {1u, 2u, 4u}) {
+                ThreadPool::instance().resize(threads);
+                Rng init(1);
+                Conv2d conv(cc.in_c, cc.out_c, cc.kernel, cc.stride,
+                            cc.pad, init, cc.bias);
+                conv.weight().value = w;
+                std::vector<Parameter*> params;
+                conv.collectParameters(params);
+                if (cc.bias)
+                    params[1]->value = bias;
+                ConvRun got;
+                got.y = flatOf(conv.forward(x));
+                got.dx = flatOf(conv.backward(dy));
+                got.dw = flatOf(conv.weight().grad);
+                if (cc.bias)
+                    got.dbias = flatOf(params[1]->grad);
+                const std::string where =
+                    tag + " isa=" + kernels::isaName(isa) +
+                    " threads=" + std::to_string(threads);
+                EXPECT_TRUE(bitEqual(want.y, got.y)) << "forward " << where;
+                EXPECT_TRUE(bitEqual(want.dx, got.dx)) << "dX " << where;
+                EXPECT_TRUE(bitEqual(want.dw, got.dw)) << "dW " << where;
+                EXPECT_TRUE(bitEqual(want.dbias, got.dbias))
+                    << "dBias " << where;
             }
         }
     }

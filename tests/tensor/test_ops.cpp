@@ -98,9 +98,10 @@ TEST(Ops, Im2colIdentityKernel)
     for (std::size_t i = 0; i < x.size(); ++i)
         x[i] = static_cast<float>(i);
     Tensor cols = im2col(x, 1, 1, 0);
-    ASSERT_EQ(cols.shape(), (std::vector<std::size_t>{1, 2, 9}));
-    for (std::size_t i = 0; i < x.size(); ++i)
-        EXPECT_EQ(cols[i], x[i]);
+    ASSERT_EQ(cols.shape(), (std::vector<std::size_t>{2, 1, 9}));
+    for (std::size_t ch = 0; ch < 2; ++ch)
+        for (std::size_t p = 0; p < 9; ++p)
+            EXPECT_EQ(cols(ch, 0, p), x(0, ch, p / 3, p % 3));
 }
 
 TEST(Ops, Im2colKnownPatch)
@@ -111,9 +112,9 @@ TEST(Ops, Im2colKnownPatch)
     for (std::size_t i = 0; i < 9; ++i)
         x[i] = static_cast<float>(i + 1);
     Tensor cols = im2col(x, 3, 1, 0);
-    ASSERT_EQ(cols.shape(), (std::vector<std::size_t>{1, 9, 1}));
+    ASSERT_EQ(cols.shape(), (std::vector<std::size_t>{9, 1, 1}));
     for (std::size_t i = 0; i < 9; ++i)
-        EXPECT_EQ(cols(0, i, 0), static_cast<float>(i + 1));
+        EXPECT_EQ(cols(i, 0, 0), static_cast<float>(i + 1));
 }
 
 TEST(Ops, Im2colPaddingInsertsZeros)
@@ -124,7 +125,7 @@ TEST(Ops, Im2colPaddingInsertsZeros)
     // padded corner, which must be zero.
     EXPECT_EQ(cols(0, 0, 0), 0.0f);
     // Center tap at output (0,0) reads input (0,0).
-    EXPECT_EQ(cols(0, 4, 0), 1.0f);
+    EXPECT_EQ(cols(4, 0, 0), 1.0f);
 }
 
 TEST(Ops, Col2imIsAdjointOfIm2col)
@@ -148,6 +149,77 @@ TEST(Ops, Col2imIsAdjointOfIm2col)
     for (std::size_t i = 0; i < x.size(); ++i)
         rhs += static_cast<double>(x[i]) * back[i];
     EXPECT_NEAR(lhs, rhs, 1e-3);
+}
+
+TEST(Ops, Im2colAndCol2imMatchNaiveReferenceOnRandomShapes)
+{
+    // im2col is a pure gather into the [K, N, OH*OW] layout and col2im
+    // a scatter-add in (ky, kx, oy, ox) order per (image, channel), so
+    // both must equal the textbook loops bit for bit.
+    Rng rng(6);
+    int cases = 0;
+    while (cases < 150) {
+        const std::size_t n = 1 + rng.uniformInt(3);
+        const std::size_t c = 1 + rng.uniformInt(4);
+        const std::size_t h = 1 + rng.uniformInt(9);
+        const std::size_t w = 1 + rng.uniformInt(9);
+        const std::size_t kernel = 1 + rng.uniformInt(5);
+        const std::size_t stride = 1 + rng.uniformInt(3);
+        const std::size_t pad = rng.uniformInt(3);
+        if (h + 2 * pad < kernel || w + 2 * pad < kernel)
+            continue;
+        ++cases;
+        const std::size_t oh = convOutSize(h, kernel, stride, pad);
+        const std::size_t ow = convOutSize(w, kernel, stride, pad);
+        Tensor x({n, c, h, w});
+        for (std::size_t i = 0; i < x.size(); ++i)
+            x[i] = static_cast<float>(rng.normal());
+
+        const Tensor cols = im2col(x, kernel, stride, pad);
+        ASSERT_EQ(cols.shape(), (std::vector<std::size_t>{
+                                    c * kernel * kernel, n, oh * ow}));
+        Tensor dcols(cols.shape());
+        for (std::size_t i = 0; i < dcols.size(); ++i)
+            dcols[i] = static_cast<float>(rng.normal());
+        Tensor want_img({n, c, h, w});
+        for (std::size_t img = 0; img < n; ++img)
+            for (std::size_t ch = 0; ch < c; ++ch)
+                for (std::size_t ky = 0; ky < kernel; ++ky)
+                    for (std::size_t kx = 0; kx < kernel; ++kx)
+                        for (std::size_t oy = 0; oy < oh; ++oy)
+                            for (std::size_t ox = 0; ox < ow; ++ox) {
+                                const std::size_t row =
+                                    (ch * kernel + ky) * kernel + kx;
+                                const long iy =
+                                    static_cast<long>(oy * stride + ky) -
+                                    static_cast<long>(pad);
+                                const long ix =
+                                    static_cast<long>(ox * stride + kx) -
+                                    static_cast<long>(pad);
+                                const bool inside =
+                                    iy >= 0 && ix >= 0 &&
+                                    iy < static_cast<long>(h) &&
+                                    ix < static_cast<long>(w);
+                                const auto uy = static_cast<std::size_t>(iy);
+                                const auto ux = static_cast<std::size_t>(ix);
+                                ASSERT_EQ(cols(row, img, oy * ow + ox),
+                                          inside ? x(img, ch, uy, ux) : 0.0f)
+                                    << "n=" << n << " c=" << c
+                                    << " h=" << h << " w=" << w
+                                    << " k=" << kernel << " s=" << stride
+                                    << " p=" << pad;
+                                if (inside)
+                                    want_img(img, ch, uy, ux) +=
+                                        dcols(row, img, oy * ow + ox);
+                            }
+        const Tensor got_img = col2im(dcols, c, h, w, kernel, stride, pad);
+        ASSERT_TRUE(got_img.sameShape(want_img));
+        for (std::size_t i = 0; i < want_img.size(); ++i)
+            ASSERT_EQ(got_img[i], want_img[i])
+                << "col2im n=" << n << " c=" << c << " h=" << h
+                << " w=" << w << " k=" << kernel << " s=" << stride
+                << " p=" << pad << " at " << i;
+    }
 }
 
 TEST(Ops, Col2imShapeCheck)
