@@ -5,6 +5,8 @@
  * — KernelRegion, recordKernelElems, PerfScope — must cost a relaxed
  * load and a branch (single-digit ns); enabled, a fast sampler
  * snapshotting concurrently must tax a real workload by under 2%.
+ * telemetry_tq_data gates the metrics tax of the hottest real
+ * metrics site, TQ activation quantization, at under 3%.
  *
  * All numbers are wall-clock (timingValue), so the trajectory gate
  * checks only the deterministic pass/fail rows.  Overheads compare
@@ -17,6 +19,7 @@
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
+#include "core/fake_quant.hpp"
 #include "kernels/roofline.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/heap_profiler.hpp"
@@ -344,4 +347,61 @@ MRQ_BENCH(telemetry_overhead, "Obs layer",
         if (was_heapprof)
             obs::startHeapProfilerFromEnv();
     }
+}
+
+/**
+ * Telemetry tax on the TQ data path.  fakeQuantData in TQ mode is the
+ * hottest metrics site of a real step
+ * (core.tq.data_kept_terms_per_value); it folds a per-chunk
+ * kept-count histogram into the registry, so metrics on must cost
+ * under 3% over metrics off on a resnet-sized activation tensor.
+ * Arms interleave and the gate takes the quietest pass, as the
+ * heap-sampling gate of telemetry_overhead does.  A case of its own
+ * so telemetry_overhead's exact metrics and heap resources stay as
+ * they were.
+ */
+MRQ_BENCH(telemetry_tq_data, "Obs layer",
+          "metrics tax on the TQ activation path: on vs off")
+{
+    Rng rng(322);
+    Tensor act({100, 16, 12, 12});
+    for (std::size_t i = 0; i < act.size(); ++i)
+        act[i] = static_cast<float>(rng.uniform()) * 1.4f - 0.2f;
+    SubModelConfig cfg;
+    cfg.mode = QuantMode::Tq;
+    cfg.bits = 5;
+    cfg.beta = 2;
+    const auto project = [&] {
+        for (int i = 0; i < 8; ++i)
+            (void)fakeQuantData(act, 1.0f, cfg);
+    };
+    const bool prev_metrics = obs::setMetricsEnabled(true);
+    project(); // build the level table, touch caches
+    double on_ms = 0.0;
+    double off_ms = 0.0;
+    double tax_best = 0.0;
+    for (int pass = 0; pass < 3; ++pass) {
+        obs::setMetricsEnabled(true);
+        const double on = bestOfMs(8, project);
+        obs::setMetricsEnabled(false);
+        const double off = bestOfMs(8, project);
+        const double tax =
+            off > 0.0 ? std::max(0.0, (on - off) / off * 100.0) : 0.0;
+        if (pass == 0 || tax < tax_best) {
+            tax_best = tax;
+            on_ms = on;
+            off_ms = off;
+        }
+    }
+    obs::setMetricsEnabled(prev_metrics);
+    const double per_value_ns =
+        off_ms * 1e6 / (8.0 * static_cast<double>(act.size()));
+    ctx.timingValue("tq_data_metrics_on_ms", on_ms);
+    ctx.timingValue("tq_data_metrics_off_ms", off_ms);
+    ctx.timingValue("tq_data_ns_per_value", per_value_ns);
+    ctx.timingValue("tq_data_metrics_tax_pct", tax_best);
+    ctx.printf("  TQ data path metrics tax: %.2f%% (%.2fms -> %.2fms "
+               "per 8 projections, %.2fns/value)\n",
+               tax_best, off_ms, on_ms, per_value_ns);
+    ctx.require(tax_best < 3.0, "TQ data-path metrics tax under 3%");
 }

@@ -7,6 +7,7 @@
 #include "core/uniform_quant.hpp"
 #include "kernels/kernels.hpp"
 #include "kernels/roofline.hpp"
+#include "kernels/tq_table.hpp"
 #include "obs/inspect.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -31,6 +32,9 @@ obs::IntHistogram h_w_dropped("core.tq.weight_dropped_terms_per_group",
 obs::IntHistogram h_x_kept("core.tq.data_kept_terms_per_value", 9);
 obs::Counter c_w_projections("core.fake_quant.weight_projections");
 obs::Counter c_x_projections("core.fake_quant.data_projections");
+
+/** Lattice values per stack block in fakeQuantData's chunk loop. */
+constexpr std::size_t kDataBlock = 256;
 
 /** Magnitude mass (sum of 2^exponent) and term count of a lattice
  *  value under the rung's encoding. */
@@ -137,6 +141,8 @@ fakeQuantWeights(const Tensor& w, float clip, const SubModelConfig& cfg,
     if (cfg.mode == QuantMode::None)
         return w;
     require(clip > 0.0f, "fakeQuantWeights: clip must be positive");
+    if (cfg.mode == QuantMode::Tq)
+        kernels::checkTqBits(cfg.bits, "fakeQuantWeights");
     MRQ_TRACE_SPAN("core.fake_quant_weights");
     g_weight_projections.fetch_add(1, std::memory_order_relaxed);
     c_w_projections.add(1);
@@ -171,11 +177,13 @@ fakeQuantWeights(const Tensor& w, float clip, const SubModelConfig& cfg,
     // independent, so they parallelize; per-row kept-term counts are
     // integers, so the chunked reduction is order-insensitive.  The
     // whole row quantizes through the lattice kernel in one call, the
-    // groups project in place with the allocation-free counting
-    // selection (kernels::tqGroupProject, equivalent to
+    // groups project in place with the counting selection over the
+    // per-level term masks (kernels::tqGroupProject, equivalent to
     // termQuantizeGroup), and the row dequantizes in one call.
     const std::size_t g = cfg.groupSize;
     require(g > 0, "fakeQuantWeights: group size must be positive");
+    const kernels::TqMaskTable& masks =
+        kernels::tqMaskTable(cfg.bits, cfg.encoding);
     const std::size_t row_len =
         w.rank() >= 2 && w.dim(0) > 0 ? n / w.dim(0) : n;
     const std::size_t rows = row_len > 0 ? n / row_len : 0;
@@ -198,7 +206,7 @@ fakeQuantWeights(const Tensor& w, float clip, const SubModelConfig& cfg,
                         scaledGroupBudget(cfg.alpha, g, len);
                     const kernels::TqGroupStats tg =
                         kernels::tqGroupProject(qrow.data() + off, len,
-                                                budget, cfg.encoding,
+                                                budget, masks,
                                                 qrow.data() + off);
                     h_w_kept.record(tg.kept);
                     h_w_dropped.record(tg.total - tg.kept);
@@ -231,6 +239,8 @@ fakeQuantData(const Tensor& x, float clip, const SubModelConfig& cfg,
     if (cfg.mode == QuantMode::None)
         return x;
     require(clip > 0.0f, "fakeQuantData: clip must be positive");
+    if (cfg.mode == QuantMode::Tq)
+        kernels::checkTqBits(cfg.bits, "fakeQuantData");
     MRQ_TRACE_SPAN("core.fake_quant_data");
 
     UniformQuantizer uq;
@@ -241,37 +251,51 @@ fakeQuantData(const Tensor& x, float clip, const SubModelConfig& cfg,
     Tensor out = x;
     const std::size_t n = x.size();
     c_x_projections.add(1);
-    const bool record_hist =
-        obs::metricsEnabled() && cfg.mode == QuantMode::Tq;
+    const bool tq = cfg.mode == QuantMode::Tq;
+    const bool record_hist = obs::metricsEnabled() && tq;
     const kernels::KernelTable& kt = kernels::kernels();
     const kernels::LatticeParams lp =
         kernels::makeLatticeParams(cfg.bits, uq.scale(), uq.isSigned);
+    // TQ: every lattice level's top-beta value and kept count, read
+    // by level (the lattice clamp keeps q inside the table).
+    const kernels::TqLevelValue* level0 =
+        tq ? kernels::tqValueTable(cfg.bits, cfg.encoding, cfg.beta).at0()
+           : nullptr;
     kernels::KernelRegion kr(kernels::KernelId::LatticeRoundTrip,
                              static_cast<std::int64_t>(n));
     const std::size_t kept = parallelReduce(
         n, parallelGrain(16), std::size_t{0},
         [&](std::size_t b, std::size_t e) {
-            std::size_t local = 0;
-            const std::size_t len = e - b;
-            std::vector<std::int32_t> q(len);
-            kt.latticeQuantize(x.data() + b, q.data(), len, lp);
-            if (cfg.mode == QuantMode::Tq) {
-                for (std::size_t i = 0; i < len; ++i) {
-                    const kernels::TqValueResult r =
-                        kernels::tqValueKeepTop(q[i], cfg.beta,
-                                                cfg.encoding);
-                    if (record_hist)
-                        h_x_kept.record(r.kept);
-                    local += r.kept;
-                    q[i] = static_cast<std::int32_t>(r.value);
+            // Kept-count histogram of the chunk: it yields the kept
+            // total and is folded into h_x_kept once per chunk, so
+            // the per-value loop carries no telemetry.
+            std::size_t hist[kernels::kTqMaskBits + 1] = {};
+            std::int32_t q[kDataBlock];
+            for (std::size_t s = b; s < e; s += kDataBlock) {
+                const std::size_t len = std::min(kDataBlock, e - s);
+                kt.latticeQuantize(x.data() + s, q, len, lp);
+                if (tq) {
+                    for (std::size_t i = 0; i < len; ++i) {
+                        const kernels::TqLevelValue t = level0[q[i]];
+                        q[i] = t.value;
+                        ++hist[t.kept];
+                    }
                 }
+                kt.latticeDequant(q, out.data() + s, len, lp.scale);
             }
-            kt.latticeDequant(q.data(), out.data() + b, len, lp.scale);
+            std::size_t local = 0;
+            for (std::size_t k = 0; k <= kernels::kTqMaskBits; ++k) {
+                if (hist[k] == 0)
+                    continue;
+                local += k * hist[k];
+                if (record_hist)
+                    h_x_kept.record(k, hist[k]);
+            }
             return local;
         },
         [](std::size_t acc, std::size_t part) { return acc + part; });
     if (stats) {
-        if (cfg.mode == QuantMode::Tq)
+        if (tq)
             stats->keptTerms += kept;
         stats->units += n;
     }

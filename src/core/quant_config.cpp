@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "kernels/tq_table.hpp"
+
 namespace mrq {
 
 std::string
@@ -26,6 +28,9 @@ void
 validateLadder(const SubModelLadder& ladder)
 {
     require(!ladder.empty(), "validateLadder: empty ladder");
+    for (const SubModelConfig& c : ladder)
+        if (c.mode == QuantMode::Tq)
+            kernels::checkTqBits(c.bits, "validateLadder");
     for (std::size_t i = 1; i < ladder.size(); ++i) {
         const SubModelConfig& lo = ladder[i - 1];
         const SubModelConfig& hi = ladder[i];

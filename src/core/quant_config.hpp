@@ -32,7 +32,8 @@ struct SubModelConfig
 {
     QuantMode mode = QuantMode::Tq;
 
-    /** Lattice magnitude bitwidth b (UQ step of Algorithm 1). */
+    /** Lattice magnitude bitwidth b (UQ step of Algorithm 1); TQ
+     *  configs allow 1..16 (kernels::kTqMaxBits). */
     int bits = 5;
 
     /** Weight group size g. */
@@ -77,7 +78,9 @@ using SubModelLadder = std::vector<SubModelConfig>;
  * component (nesting: the low-budget term set is a prefix of the
  * high-budget set), and consecutive entries are never equal —
  * duplicates would silently bias the trainer's uniform student draw.
- * Single-entry ladders are trivially valid.  Throws FatalError.
+ * TQ rungs must also keep bits <= kernels::kTqMaxBits (16), the
+ * widest lattice the per-level term tables cover.  Throws
+ * FatalError.
  */
 void validateLadder(const SubModelLadder& ladder);
 

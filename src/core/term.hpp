@@ -47,8 +47,9 @@ struct GroupTerm
 {
     Term term;
 
-    /** Index of the owning value within its group (0 .. g-1). */
-    std::uint16_t valueIndex = 0;
+    /** Index of the owning value within its group (0 .. g-1); 32
+     *  bits so groups past 65535 members do not wrap. */
+    std::uint32_t valueIndex = 0;
 };
 
 /** Sum a term list back into an integer value. */

@@ -32,7 +32,7 @@ termQuantizeGroup(const std::vector<std::int64_t>& values, std::size_t alpha,
     std::vector<GroupTerm> all;
     for (std::size_t i = 0; i < values.size(); ++i) {
         for (const Term& t : encodeTerms(values[i], encoding))
-            all.push_back(GroupTerm{t, static_cast<std::uint16_t>(i)});
+            all.push_back(GroupTerm{t, static_cast<std::uint32_t>(i)});
     }
     result.totalTerms = all.size();
 

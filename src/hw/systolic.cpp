@@ -1,14 +1,48 @@
 #include "hw/systolic.hpp"
 
+#include <algorithm>
+
 #include "core/fake_quant.hpp"
-#include "core/term_quant.hpp"
 #include "hw/perf_model.hpp"
 #include "kernels/blocking.hpp"
+#include "kernels/tq_table.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace mrq {
 
 using kernels::ceilDiv;
+
+DataTermSlots
+quantizeDataTerms(const std::vector<std::int64_t>& x,
+                  const SubModelConfig& cfg)
+{
+    // The slots come from the per-level term masks: the top-beta
+    // bits of a level's masks, highest first, are exactly the terms
+    // the SDR encoder + term quantizer units deliver (Fig. 9).
+    const kernels::TqMaskTable& masks =
+        kernels::tqMaskTable(cfg.bits, cfg.encoding);
+    if (!x.empty()) {
+        const auto [lo, hi] = std::minmax_element(x.begin(), x.end());
+        require(*lo >= -masks.qmax && *hi <= masks.qmax,
+                "quantizeDataTerms: data value outside the ", cfg.bits,
+                "-bit lattice [", -masks.qmax, ", ", masks.qmax, "]");
+    }
+    const std::size_t beta = cfg.beta;
+    DataTermSlots d;
+    d.exps.resize(x.size() * beta);
+    d.signs.resize(x.size() * beta);
+    d.counts.resize(x.size());
+    const kernels::TqLevelMasks* m0 = masks.at0();
+    parallelFor(x.size(), parallelGrain(64),
+                [&](std::size_t e0, std::size_t e1) {
+        for (std::size_t e = e0; e < e1; ++e) {
+            d.counts[e] = static_cast<std::uint8_t>(kernels::tqTopTerms(
+                m0[x[e]], beta, d.exps.data() + e * beta,
+                d.signs.data() + e * beta));
+        }
+    });
+    return d;
+}
 
 MmacSystolicArray::MmacSystolicArray(std::size_t rows, std::size_t cols,
                                      const SubModelConfig& cfg)
@@ -17,6 +51,7 @@ MmacSystolicArray::MmacSystolicArray(std::size_t rows, std::size_t cols,
     require(rows > 0 && cols > 0, "MmacSystolicArray: empty array");
     require(cfg.mode == QuantMode::Tq,
             "MmacSystolicArray: the array runs TQ sub-models");
+    kernels::checkTqBits(cfg.bits, "MmacSystolicArray");
 }
 
 std::vector<std::int64_t>
@@ -30,40 +65,7 @@ MmacSystolicArray::matmul(const std::vector<std::int64_t>& w, std::size_t m,
     const std::size_t g = cfg_.groupSize;
     const std::size_t groups_per_row = ceilDiv(k, g);
 
-    // Pre-quantize data terms: top-beta terms per value, exactly what
-    // the SDR encoder + term quantizer units deliver (Fig. 9).  Terms
-    // stream into flat per-value slots of beta entries (no per-value
-    // vectors): one counting visit finds how many low-order terms to
-    // drop, a second visit emits the survivors.  The emitted order is
-    // ascending exponent, which the integer pair accumulation does not
-    // observe.
-    std::vector<std::int8_t> d_exps(k * n * cfg_.beta);
-    std::vector<std::int8_t> d_signs(k * n * cfg_.beta);
-    std::vector<std::uint8_t> d_counts(k * n);
-    parallelFor(k * n, parallelGrain(64),
-                [&](std::size_t e0, std::size_t e1) {
-        for (std::size_t e = e0; e < e1; ++e) {
-            std::size_t total = 0;
-            visitTerms(x[e], cfg_.encoding,
-                       [&](std::int8_t, std::int8_t) { ++total; });
-            const std::size_t keep = std::min(cfg_.beta, total);
-            std::size_t skip = total - keep;
-            std::int8_t* ep = d_exps.data() + e * cfg_.beta;
-            std::int8_t* sp = d_signs.data() + e * cfg_.beta;
-            std::size_t out = 0;
-            visitTerms(x[e], cfg_.encoding,
-                       [&](std::int8_t exp, std::int8_t sign) {
-                if (skip > 0) {
-                    --skip;
-                    return;
-                }
-                ep[out] = exp;
-                sp[out] = sign;
-                ++out;
-            });
-            d_counts[e] = static_cast<std::uint8_t>(keep);
-        }
-    });
+    const DataTermSlots d = quantizeDataTerms(x, cfg_);
 
     std::vector<std::int64_t> y(m * n, 0);
     SystolicStats local;
@@ -109,9 +111,9 @@ MmacSystolicArray::matmul(const std::vector<std::int64_t>& w, std::size_t m,
                             if (s < len) {
                                 const std::size_t e = (base + s) * n + j;
                                 slice[s] = TermSpan{
-                                    d_exps.data() + e * cfg_.beta,
-                                    d_signs.data() + e * cfg_.beta,
-                                    d_counts[e]};
+                                    d.exps.data() + e * cfg_.beta,
+                                    d.signs.data() + e * cfg_.beta,
+                                    d.counts[e]};
                             } else {
                                 slice[s] = TermSpan{};
                             }

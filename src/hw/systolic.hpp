@@ -34,6 +34,24 @@ struct SystolicStats
     std::uint64_t tiles = 0;
 };
 
+/** Top-beta data terms of every value, in flat slots of beta. */
+struct DataTermSlots
+{
+    std::vector<std::int8_t> exps;    ///< Value e's terms at e * beta.
+    std::vector<std::int8_t> signs;   ///< Parallel to exps.
+    std::vector<std::uint8_t> counts; ///< Terms kept per value.
+};
+
+/**
+ * Data-term prep of the array: the top-beta terms of each lattice
+ * value in @p x, highest exponent first — per value exactly
+ * termQuantizeStream(encodeTerms(v, cfg.encoding), cfg.beta).  Every
+ * value must lie in the cfg.bits signed lattice (FatalError
+ * otherwise).
+ */
+DataTermSlots quantizeDataTerms(const std::vector<std::int64_t>& x,
+                                const SubModelConfig& cfg);
+
 /** Weight-stationary mMAC array. */
 class MmacSystolicArray
 {

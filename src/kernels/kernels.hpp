@@ -43,7 +43,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "core/term_quant.hpp"
 #include "kernels/blocking.hpp"
 #include "kernels/isa.hpp"
 
@@ -61,20 +60,6 @@ struct LatticeParams
     float scale = 1.0f;   ///< Real step between lattice levels.
     std::int32_t lo = 0;  ///< Smallest level (-qmax or 0).
     std::int32_t hi = 0;  ///< Largest level (qmax).
-};
-
-/** Result of a single-value top-beta term projection. */
-struct TqValueResult
-{
-    std::int64_t value = 0; ///< Sum of the kept terms.
-    std::size_t kept = 0;   ///< Terms kept (<= beta).
-};
-
-/** Per-group accounting from tqGroupProject. */
-struct TqGroupStats
-{
-    std::size_t kept = 0;  ///< Terms kept (min(budget, total)).
-    std::size_t total = 0; ///< Terms before truncation.
 };
 
 /**
@@ -154,30 +139,6 @@ const KernelTable* kernelTableFor(Isa isa);
 /** Build LatticeParams from quantizer fields; checks qmax <= 2^22 so
  *  the kernels' pre-round clamp can never bite a legal level. */
 LatticeParams makeLatticeParams(int bits, float scale, bool is_signed);
-
-/**
- * Top-beta term projection of a single lattice value — the streaming
- * equivalent of termQuantizeValue + termCount, without the
- * per-element vector allocations.  ISA-invariant integer code (not
- * dispatched).
- */
-TqValueResult tqValueKeepTop(std::int64_t value, std::size_t beta,
-                             TermEncoding encoding);
-
-/**
- * Group term projection: the streaming equivalent of
- * termQuantizeGroup restricted to what the fake-quantizer needs (the
- * quantized values and the kept/total counts, not the kept-term
- * list).  Selects the same multiset of terms as the stable sort —
- * all terms above a threshold exponent, then member-order terms at
- * the threshold until the budget runs out; within one member an
- * exponent appears at most once in every encoding, so member order
- * is term order.  Writes the projected values to @p out (may alias
- * @p q).  ISA-invariant integer code (not dispatched).
- */
-TqGroupStats tqGroupProject(const std::int32_t* q, std::size_t len,
-                            std::size_t budget, TermEncoding encoding,
-                            std::int32_t* out);
 
 } // namespace kernels
 } // namespace mrq

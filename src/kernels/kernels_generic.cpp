@@ -1,7 +1,7 @@
 /**
  * @file
- * Generic (scalar) kernel variant, the dispatch glue, and the
- * ISA-invariant term-projection helpers.
+ * Generic (scalar) kernel variant and the dispatch glue (the
+ * ISA-invariant TQ helpers live in tq_table.cpp).
  *
  * The scalar kernels are the reference implementation of the
  * determinism contract (kernels.hpp): 16 virtual accumulator lanes
@@ -192,96 +192,6 @@ makeLatticeParams(int bits, float scale, bool is_signed)
     p.lo = is_signed ? -qmax : 0;
     p.hi = qmax;
     return p;
-}
-
-TqValueResult
-tqValueKeepTop(std::int64_t value, std::size_t beta,
-               TermEncoding encoding)
-{
-    std::size_t total = 0;
-    visitTerms(value, encoding,
-               [&](std::int8_t, std::int8_t) { ++total; });
-    TqValueResult r;
-    r.kept = total < beta ? total : beta;
-    // Emission is ascending-exponent; keeping the top `kept` means
-    // skipping the lowest total - kept terms.
-    const std::size_t skip = total - r.kept;
-    std::size_t seen = 0;
-    std::int64_t v = 0;
-    visitTerms(value, encoding, [&](std::int8_t exp, std::int8_t sign) {
-        if (seen++ < skip)
-            return;
-        const std::int64_t mag = std::int64_t{1} << exp;
-        v += sign >= 0 ? mag : -mag;
-    });
-    r.value = v;
-    return r;
-}
-
-TqGroupStats
-tqGroupProject(const std::int32_t* q, std::size_t len, std::size_t budget,
-               TermEncoding encoding, std::int32_t* out)
-{
-    // Pass 1: exponent histogram across the group.  Selecting by
-    // exponent buckets reproduces termQuantizeGroup's stable sort
-    // exactly: the flatten order is member-major and no member holds
-    // two terms at one exponent, so within a bucket member order is
-    // the stable tie order.
-    std::uint16_t counts[kMaxTermExponent] = {};
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < len; ++i) {
-        visitTerms(q[i], encoding, [&](std::int8_t exp, std::int8_t) {
-            ++counts[static_cast<std::size_t>(exp)];
-            ++total;
-        });
-    }
-    TqGroupStats stats;
-    stats.total = total;
-    stats.kept = total < budget ? total : budget;
-
-    if (total <= budget) {
-        // Everything kept: the projection is the identity.
-        for (std::size_t i = 0; i < len; ++i)
-            out[i] = q[i];
-        return stats;
-    }
-
-    // Threshold: walking exponents downward, full buckets are kept
-    // until one no longer fits; there the first at_cut members (in
-    // member order) keep their term.  total > budget guarantees the
-    // walk stops at some bucket.
-    int cut = 0;
-    std::size_t at_cut = 0;
-    std::size_t remaining = budget;
-    for (int e = static_cast<int>(kMaxTermExponent) - 1; e >= 0; --e) {
-        const std::size_t c = counts[static_cast<std::size_t>(e)];
-        if (c <= remaining) {
-            remaining -= c;
-            continue;
-        }
-        cut = e;
-        at_cut = remaining;
-        break;
-    }
-
-    // Pass 2: rebuild each member from its kept terms.
-    std::size_t used_at_cut = 0;
-    for (std::size_t i = 0; i < len; ++i) {
-        std::int64_t v = 0;
-        visitTerms(q[i], encoding, [&](std::int8_t exp, std::int8_t sign) {
-            bool keep = exp > cut;
-            if (exp == cut && used_at_cut < at_cut) {
-                keep = true;
-                ++used_at_cut;
-            }
-            if (!keep)
-                return;
-            const std::int64_t mag = std::int64_t{1} << exp;
-            v += sign >= 0 ? mag : -mag;
-        });
-        out[i] = static_cast<std::int32_t>(v);
-    }
-    return stats;
 }
 
 } // namespace kernels

@@ -330,7 +330,7 @@ MetricsRegistry::addCounter(int id, std::int64_t n)
 
 void
 MetricsRegistry::recordHistogram(int id, std::size_t buckets,
-                                 std::size_t value)
+                                 std::size_t value, std::size_t count)
 {
     const std::size_t i = static_cast<std::size_t>(id);
     HistBlock* b =
@@ -343,8 +343,9 @@ MetricsRegistry::recordHistogram(int id, std::size_t buckets,
             h.sizeHint.load(std::memory_order_relaxed)) < size)
         h.sizeHint.store(static_cast<std::int64_t>(size),
                          std::memory_order_relaxed);
-    slotAdd(h.buckets[std::min(value, size - 1)], 1);
-    slotAdd(h.weighted, static_cast<std::int64_t>(value));
+    slotAdd(h.buckets[std::min(value, size - 1)],
+            static_cast<std::int64_t>(count));
+    slotAdd(h.weighted, static_cast<std::int64_t>(value * count));
 }
 
 void

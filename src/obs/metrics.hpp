@@ -153,8 +153,11 @@ class MetricsRegistry
 
     // ---- sharded hot-path records ----
     void addCounter(int id, std::int64_t n);
-    /** Record @p value into bucket min(value, buckets - 1). */
-    void recordHistogram(int id, std::size_t buckets, std::size_t value);
+    /** Record @p count occurrences of @p value into bucket
+     *  min(value, buckets - 1); the weighted sum grows by
+     *  value * count. */
+    void recordHistogram(int id, std::size_t buckets, std::size_t value,
+                         std::size_t count = 1);
     void recordTiming(int id, std::int64_t ns);
 
     // ---- registry-level records (serial contexts only) ----
@@ -242,8 +245,10 @@ class IntHistogram
     {
     }
 
+    /** Record @p count occurrences of @p value (a pre-counted batch
+     *  lands exactly as @p count single records would). */
     void
-    record(std::size_t value)
+    record(std::size_t value, std::size_t count = 1)
     {
         if (!metricsEnabled())
             return;
@@ -252,7 +257,8 @@ class IntHistogram
             id = MetricsRegistry::instance().histogramId(name_);
             id_.store(id, std::memory_order_relaxed);
         }
-        MetricsRegistry::instance().recordHistogram(id, buckets_, value);
+        MetricsRegistry::instance().recordHistogram(id, buckets_, value,
+                                                    count);
     }
 
   private:

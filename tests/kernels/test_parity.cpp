@@ -22,6 +22,7 @@
 #include "core/term_quant.hpp"
 #include "core/uniform_quant.hpp"
 #include "kernels/kernels.hpp"
+#include "kernels/tq_table.hpp"
 #include "nn/conv.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/ops.hpp"
@@ -265,33 +266,44 @@ TEST_F(ParityTest, TqGroupProjectMatchesTermQuantizeGroup)
     const TermEncoding encodings[] = {TermEncoding::Naf, TermEncoding::Ubr,
                                       TermEncoding::Booth};
     for (TermEncoding enc : encodings) {
-        for (std::size_t len : {1u, 3u, 7u, 16u, 21u}) {
-            for (std::size_t budget : {0u, 1u, 5u, 20u, 200u}) {
-                for (int trial = 0; trial < 20; ++trial) {
-                    std::vector<std::int64_t> group(len);
-                    std::vector<std::int32_t> q(len);
-                    for (std::size_t i = 0; i < len; ++i) {
-                        group[i] =
-                            static_cast<std::int64_t>(rng.next() % 63) - 31;
-                        q[i] = static_cast<std::int32_t>(group[i]);
+        // 5 bits is the paper's lattice; 8 bits (levels -255..255) is
+        // the widest any in-tree ladder uses.
+        for (int bits : {5, 8}) {
+            const kernels::TqMaskTable& masks =
+                kernels::tqMaskTable(bits, enc);
+            const std::uint64_t levels = 2 * ((1u << bits) - 1) + 1;
+            for (std::size_t len : {1u, 3u, 7u, 16u, 21u, 33u, 64u}) {
+                for (std::size_t budget : {0u, 1u, 5u, 20u, 200u}) {
+                    for (int trial = 0; trial < 20; ++trial) {
+                        std::vector<std::int64_t> group(len);
+                        std::vector<std::int32_t> q(len);
+                        for (std::size_t i = 0; i < len; ++i) {
+                            group[i] = static_cast<std::int64_t>(
+                                           rng.next() % levels) -
+                                       masks.qmax;
+                            q[i] = static_cast<std::int32_t>(group[i]);
+                        }
+                        const GroupQuantResult want =
+                            termQuantizeGroup(group, budget, enc);
+                        std::vector<std::int32_t> out(len, 0);
+                        const kernels::TqGroupStats stats =
+                            kernels::tqGroupProject(q.data(), len, budget,
+                                                    masks, out.data());
+                        for (std::size_t i = 0; i < len; ++i)
+                            EXPECT_EQ(out[i], want.values[i])
+                                << "bits=" << bits << " len=" << len
+                                << " budget=" << budget << " i=" << i;
+                        EXPECT_EQ(stats.kept, want.keptTerms.size());
+                        EXPECT_EQ(stats.total, want.totalTerms);
+                        // In-place aliasing must give the same answer.
+                        const kernels::TqGroupStats in_place =
+                            kernels::tqGroupProject(q.data(), len, budget,
+                                                    masks, q.data());
+                        for (std::size_t i = 0; i < len; ++i)
+                            EXPECT_EQ(q[i], out[i]);
+                        EXPECT_EQ(in_place.kept, stats.kept);
+                        EXPECT_EQ(in_place.total, stats.total);
                     }
-                    const GroupQuantResult want =
-                        termQuantizeGroup(group, budget, enc);
-                    std::vector<std::int32_t> out(len, 0);
-                    const kernels::TqGroupStats stats =
-                        kernels::tqGroupProject(q.data(), len, budget, enc,
-                                                out.data());
-                    for (std::size_t i = 0; i < len; ++i)
-                        EXPECT_EQ(out[i], want.values[i])
-                            << "len=" << len << " budget=" << budget
-                            << " i=" << i;
-                    EXPECT_EQ(stats.kept, want.keptTerms.size());
-                    EXPECT_EQ(stats.total, want.totalTerms);
-                    // In-place aliasing must give the same answer.
-                    kernels::tqGroupProject(q.data(), len, budget, enc,
-                                            q.data());
-                    for (std::size_t i = 0; i < len; ++i)
-                        EXPECT_EQ(q[i], out[i]);
                 }
             }
         }

@@ -13,6 +13,9 @@
 #include <sstream>
 #include <string>
 
+#include "common/rng.hpp"
+#include "core/fake_quant.hpp"
+#include "core/uniform_quant.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -235,6 +238,98 @@ TEST(Metrics, NamedCounterAccumulates)
             EXPECT_EQ(cv.value, 7);
         }
     EXPECT_TRUE(found);
+}
+
+TEST(Metrics, CountedHistogramRecordEqualsSingleRecords)
+{
+    MetricsTestGuard guard(true, false);
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+    reg.reset();
+    static obs::IntHistogram single("test.metrics.hist_single", 4);
+    static obs::IntHistogram counted("test.metrics.hist_counted", 4);
+    for (std::size_t v = 0; v < 6; ++v) {
+        for (std::size_t k = 0; k < v + 2; ++k)
+            single.record(v);
+        counted.record(v, v + 2);
+    }
+    const obs::Snapshot snap = reg.snapshot();
+    const obs::Snapshot::HistValue* a = nullptr;
+    const obs::Snapshot::HistValue* b = nullptr;
+    for (const auto& hv : snap.histograms) {
+        if (hv.name == "test.metrics.hist_single")
+            a = &hv;
+        if (hv.name == "test.metrics.hist_counted")
+            b = &hv;
+    }
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    EXPECT_EQ(a->counts, b->counts);
+    EXPECT_EQ(a->total, b->total);
+    EXPECT_EQ(a->weighted, b->weighted);
+    EXPECT_EQ(b->counts.back(), 5 + 6 + 7); // values 3, 4, 5 clamp
+    EXPECT_EQ(b->weighted, 0 * 2 + 1 * 3 + 2 * 4 + 3 * 5 + 4 * 6 + 5 * 7);
+}
+
+/**
+ * fakeQuantData folds a per-chunk kept-count histogram into
+ * core.tq.data_kept_terms_per_value instead of recording per value;
+ * the histogram must equal a per-value reference count exactly, at
+ * any pool size.  The 10-bit UBR case keeps up to 10 terms, so it also
+ * exercises the overflow bucket (>= 8) and the weighted sum.
+ */
+TEST(Metrics, TqDataKeptHistogramMatchesPerValueReference)
+{
+    MetricsTestGuard guard(true, false);
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+    Rng rng(1404);
+    Tensor x({3, 7, 1000});
+    for (std::size_t i = 0; i < x.size(); ++i)
+        x[i] = static_cast<float>(rng.uniform()) * 1.4f - 0.2f;
+
+    struct Case
+    {
+        int bits;
+        TermEncoding encoding;
+        std::size_t beta;
+    };
+    for (const Case& c : {Case{5, TermEncoding::Naf, 2},
+                          Case{10, TermEncoding::Ubr, 10}}) {
+        SubModelConfig cfg;
+        cfg.mode = QuantMode::Tq;
+        cfg.bits = c.bits;
+        cfg.beta = c.beta;
+        cfg.encoding = c.encoding;
+        UniformQuantizer uq;
+        uq.bits = c.bits;
+        uq.clip = 1.0f;
+        uq.isSigned = false;
+        constexpr std::size_t kBuckets = 9;
+        std::vector<std::int64_t> want(kBuckets, 0);
+        std::int64_t want_weighted = 0;
+        for (std::size_t i = 0; i < x.size(); ++i) {
+            const std::size_t kept = std::min(
+                c.beta, termCount(uq.quantize(x[i]), c.encoding));
+            ++want[std::min(kept, kBuckets - 1)];
+            want_weighted += static_cast<std::int64_t>(kept);
+        }
+        for (std::size_t threads : {1u, 4u}) {
+            ThreadPool::instance().resize(threads);
+            reg.reset();
+            fakeQuantData(x, uq.clip, cfg);
+            const obs::Snapshot snap = reg.snapshot();
+            bool found = false;
+            for (const auto& hv : snap.histograms) {
+                if (hv.name != "core.tq.data_kept_terms_per_value")
+                    continue;
+                found = true;
+                EXPECT_EQ(hv.counts, want)
+                    << "bits=" << c.bits << " threads=" << threads;
+                EXPECT_EQ(hv.total, static_cast<std::int64_t>(x.size()));
+                EXPECT_EQ(hv.weighted, want_weighted);
+            }
+            EXPECT_TRUE(found) << "threads=" << threads;
+        }
+    }
 }
 
 } // namespace
