@@ -54,10 +54,10 @@ MultiResGroup::nested(std::size_t small_alpha, std::size_t large_alpha) const
     return true;
 }
 
-std::vector<std::pair<int, std::vector<std::uint16_t>>>
+std::vector<std::pair<int, std::vector<std::uint32_t>>>
 MultiResGroup::usageTable(std::size_t alpha) const
 {
-    std::vector<std::pair<int, std::vector<std::uint16_t>>> table;
+    std::vector<std::pair<int, std::vector<std::uint32_t>>> table;
     const std::size_t n = std::min(alpha, terms_.size());
     for (std::size_t i = 0; i < n; ++i) {
         const int exp = terms_[i].term.exponent;

@@ -71,7 +71,7 @@ class MultiResGroup
      * that exponent (signed terms listed by their owner, duplicates
      * possible when a member repeats an exponent across signs).
      */
-    std::vector<std::pair<int, std::vector<std::uint16_t>>>
+    std::vector<std::pair<int, std::vector<std::uint32_t>>>
     usageTable(std::size_t alpha) const;
 
   private:

@@ -15,6 +15,9 @@ MmacWeightQueues::fromGroup(const MultiResGroup& group, std::size_t alpha)
     q.indexes.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         const GroupTerm& gt = group.terms()[i];
+        require(gt.valueIndex < kMmacMaxGroupSize,
+                "MmacWeightQueues::fromGroup: member index ", gt.valueIndex,
+                " does not fit the 8-bit weight queue");
         q.exponents.push_back(gt.term.exponent);
         q.signs.push_back(gt.term.sign);
         q.indexes.push_back(static_cast<std::uint8_t>(gt.valueIndex));
@@ -26,6 +29,9 @@ Mmac::Mmac(std::size_t group_size, std::size_t alpha, std::size_t beta)
     : groupSize_(group_size), alpha_(alpha), beta_(beta)
 {
     require(group_size > 0, "Mmac: group size must be positive");
+    require(group_size <= kMmacMaxGroupSize, "Mmac: group size ",
+            group_size, " exceeds the ", kMmacMaxGroupSize,
+            " members an 8-bit weight index addresses");
     require(beta > 0, "Mmac: data term budget must be positive");
 }
 

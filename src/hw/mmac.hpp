@@ -26,6 +26,10 @@
 
 namespace mrq {
 
+/** Largest group an mMAC cell addresses: its weight queue holds each
+ *  term's owning member as an 8-bit index. */
+constexpr std::size_t kMmacMaxGroupSize = 256;
+
 /** Weight-side queues of an mMAC cell (loaded before compute). */
 struct MmacWeightQueues
 {
@@ -34,7 +38,8 @@ struct MmacWeightQueues
     std::vector<std::int8_t> signs;
     std::vector<std::uint8_t> indexes;
 
-    /** Build the queues from a multi-resolution group at budget alpha. */
+    /** Build the queues from a multi-resolution group at budget alpha;
+     *  fails when a kept term's member index does not fit 8 bits. */
     static MmacWeightQueues fromGroup(const MultiResGroup& group,
                                       std::size_t alpha);
 
@@ -112,7 +117,8 @@ class Mmac
 {
   public:
     /**
-     * @param group_size Group size g (multiplexer width).
+     * @param group_size Group size g (multiplexer width), at most
+     *                   kMmacMaxGroupSize.
      * @param alpha      Weight term budget the queues are sized for.
      * @param beta       Data term budget per value.
      */

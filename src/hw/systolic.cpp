@@ -51,6 +51,10 @@ MmacSystolicArray::MmacSystolicArray(std::size_t rows, std::size_t cols,
     require(rows > 0 && cols > 0, "MmacSystolicArray: empty array");
     require(cfg.mode == QuantMode::Tq,
             "MmacSystolicArray: the array runs TQ sub-models");
+    require(cfg.groupSize <= kMmacMaxGroupSize,
+            "MmacSystolicArray: group size ", cfg.groupSize,
+            " exceeds the ", kMmacMaxGroupSize,
+            " members an mMAC cell addresses");
     kernels::checkTqBits(cfg.bits, "MmacSystolicArray");
 }
 

@@ -15,6 +15,10 @@ OsMmacSystolicArray::OsMmacSystolicArray(std::size_t rows,
     require(rows > 0 && cols > 0, "OsMmacSystolicArray: empty array");
     require(cfg.mode == QuantMode::Tq,
             "OsMmacSystolicArray: the array runs TQ sub-models");
+    require(cfg.groupSize <= kMmacMaxGroupSize,
+            "OsMmacSystolicArray: group size ", cfg.groupSize,
+            " exceeds the ", kMmacMaxGroupSize,
+            " members an mMAC cell addresses");
 }
 
 std::vector<std::int64_t>

@@ -39,6 +39,17 @@ constexpr std::size_t kDotLanes = 16;
  */
 constexpr std::size_t kGemmColumnBlock = 1024;
 
+/**
+ * Tile of the implicit-GEMM conv kernel (KernelTable::convTile):
+ * kConvTileRows output channels by kConvTileCols output columns, held
+ * in registers over the whole k-chain.  On AVX-512 that is 4 rows of
+ * four 16-lane accumulators; AVX2 walks the tile in 16-column strips.
+ * Every output element still sees one ascending-k chain, so the tile
+ * shape affects speed, not bits.
+ */
+constexpr std::size_t kConvTileRows = 4;
+constexpr std::size_t kConvTileCols = 64;
+
 /** Exponent bound of any power-of-two term we handle (matches the
  *  encodeNaf/encodeBooth runaway invariant in src/core/sdr.cpp). */
 constexpr std::size_t kMaxTermExponent = 72;

@@ -63,6 +63,22 @@ struct LatticeParams
 };
 
 /**
+ * Operands of one implicit-GEMM conv tile (KernelTable::convTile):
+ * C[i][j] = sum over kk of a[kk][i] * b[taps[kk] + j], for
+ * i < kConvTileRows and j < kConvTileCols.  Row kk of B is the
+ * contiguous run starting taps[kk] floats past @p b, so B is read
+ * straight from a padded input and never materialized.
+ */
+struct ConvTileArgs
+{
+    const float* a;           ///< Packed weights, [k][kConvTileRows].
+    const float* b;           ///< B origin of the tile's column 0.
+    const std::size_t* taps;  ///< Offset of B row kk from @p b.
+    std::size_t k;            ///< Chain length (rows of B).
+    float* c;                 ///< Output, [kConvTileRows][kConvTileCols].
+};
+
+/**
  * One ISA variant of every micro-kernel.  All function pointers are
  * non-null in a table returned by kernels() / kernelTableFor().
  */
@@ -76,6 +92,15 @@ struct KernelTable
 
     /** y[i] = fma(a, x[i], y[i]) — the matmul/conv tile update. */
     void (*axpy)(float a, const float* x, float* y, std::size_t n);
+
+    /**
+     * Implicit-GEMM conv tile (ConvTileArgs).  Each C element starts
+     * at +0 and takes c = fma(a, b, c) for every kk in ascending
+     * order whose a != 0 — the same chain as axpy-row matmul, zero
+     * skip included (masked fma on AVX-512, a blend on AVX2, a branch
+     * in generic).
+     */
+    void (*convTile)(const ConvTileArgs& t);
 
     /** y[i] += row[i] (bias rows, elementwise tensor adds). */
     void (*addRowInPlace)(float* y, const float* row, std::size_t n);

@@ -104,6 +104,40 @@ axpyAvx2(float a, const float* x, float* y, std::size_t n)
     }
 }
 
+/** The tile in 16-column strips (two ymm per row, eight
+ *  accumulators); the zero skip blends the old accumulator back
+ *  where a == 0 (unordered-not-equal, so a NaN weight still runs). */
+void
+convTileAvx2(const ConvTileArgs& t)
+{
+    constexpr std::size_t kStrip = 16;
+    const __m256 zero = _mm256_setzero_ps();
+    for (std::size_t j0 = 0; j0 < kConvTileCols; j0 += kStrip) {
+        __m256 acc[kConvTileRows][2];
+        for (std::size_t i = 0; i < kConvTileRows; ++i)
+            acc[i][0] = acc[i][1] = zero;
+        for (std::size_t kk = 0; kk < t.k; ++kk) {
+            const float* brow = t.b + t.taps[kk] + j0;
+            const __m256 b0 = _mm256_loadu_ps(brow);
+            const __m256 b1 = _mm256_loadu_ps(brow + 8);
+            const float* ak = t.a + kk * kConvTileRows;
+            for (std::size_t i = 0; i < kConvTileRows; ++i) {
+                const __m256 av = _mm256_broadcast_ss(ak + i);
+                const __m256 keep = _mm256_cmp_ps(av, zero, _CMP_NEQ_UQ);
+                acc[i][0] = _mm256_blendv_ps(
+                    acc[i][0], _mm256_fmadd_ps(av, b0, acc[i][0]), keep);
+                acc[i][1] = _mm256_blendv_ps(
+                    acc[i][1], _mm256_fmadd_ps(av, b1, acc[i][1]), keep);
+            }
+        }
+        for (std::size_t i = 0; i < kConvTileRows; ++i) {
+            float* crow = t.c + i * kConvTileCols + j0;
+            _mm256_storeu_ps(crow, acc[i][0]);
+            _mm256_storeu_ps(crow + 8, acc[i][1]);
+        }
+    }
+}
+
 void
 addRowInPlaceAvx2(float* y, const float* row, std::size_t n)
 {
@@ -324,6 +358,7 @@ avx2Table()
         Isa::Avx2,
         dotAvx2,
         axpyAvx2,
+        convTileAvx2,
         addRowInPlaceAvx2,
         addScalarInPlaceAvx2,
         latticeQuantizeAvx2,

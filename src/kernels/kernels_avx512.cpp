@@ -87,6 +87,37 @@ axpyAvx512(float a, const float* x, float* y, std::size_t n)
     }
 }
 
+/** The whole tile in registers: four rows of four zmm.  The zero
+ *  skip is a merge-masked fma whose mask is a != 0 (unordered, so a
+ *  NaN weight still runs). */
+void
+convTileAvx512(const ConvTileArgs& t)
+{
+    constexpr std::size_t kVecs = kConvTileCols / 16;
+    const __m512 zero = _mm512_setzero_ps();
+    __m512 acc[kConvTileRows][kVecs];
+    for (std::size_t i = 0; i < kConvTileRows; ++i)
+        for (std::size_t v = 0; v < kVecs; ++v)
+            acc[i][v] = zero;
+    for (std::size_t kk = 0; kk < t.k; ++kk) {
+        const float* brow = t.b + t.taps[kk];
+        __m512 b[kVecs];
+        for (std::size_t v = 0; v < kVecs; ++v)
+            b[v] = _mm512_loadu_ps(brow + 16 * v);
+        const float* ak = t.a + kk * kConvTileRows;
+        for (std::size_t i = 0; i < kConvTileRows; ++i) {
+            const __m512 av = _mm512_set1_ps(ak[i]);
+            const __mmask16 keep =
+                _mm512_cmp_ps_mask(av, zero, _CMP_NEQ_UQ);
+            for (std::size_t v = 0; v < kVecs; ++v)
+                acc[i][v] = _mm512_mask3_fmadd_ps(av, b[v], acc[i][v], keep);
+        }
+    }
+    for (std::size_t i = 0; i < kConvTileRows; ++i)
+        for (std::size_t v = 0; v < kVecs; ++v)
+            _mm512_storeu_ps(t.c + i * kConvTileCols + 16 * v, acc[i][v]);
+}
+
 void
 addRowInPlaceAvx512(float* y, const float* row, std::size_t n)
 {
@@ -302,6 +333,7 @@ avx512Table()
         Isa::Avx512,
         dotAvx512,
         axpyAvx512,
+        convTileAvx512,
         addRowInPlaceAvx512,
         addScalarInPlaceAvx512,
         latticeQuantizeAvx512,

@@ -45,6 +45,27 @@ axpyGeneric(float a, const float* x, float* y, std::size_t n)
         y[i] = fmadd(a, x[i], y[i]);
 }
 
+/** The zero skip is a branch per (kk, row). */
+void
+convTileGeneric(const ConvTileArgs& t)
+{
+    float acc[kConvTileRows][kConvTileCols] = {};
+    for (std::size_t kk = 0; kk < t.k; ++kk) {
+        const float* brow = t.b + t.taps[kk];
+        const float* ak = t.a + kk * kConvTileRows;
+        for (std::size_t i = 0; i < kConvTileRows; ++i) {
+            const float a = ak[i];
+            if (a == 0.0f)
+                continue;
+            for (std::size_t j = 0; j < kConvTileCols; ++j)
+                acc[i][j] = fmadd(a, brow[j], acc[i][j]);
+        }
+    }
+    for (std::size_t i = 0; i < kConvTileRows; ++i)
+        for (std::size_t j = 0; j < kConvTileCols; ++j)
+            t.c[i * kConvTileCols + j] = acc[i][j];
+}
+
 void
 addRowInPlaceGeneric(float* y, const float* row, std::size_t n)
 {
@@ -142,6 +163,7 @@ genericTable()
         Isa::Generic,
         dotGeneric,
         axpyGeneric,
+        convTileGeneric,
         addRowInPlaceGeneric,
         addScalarInPlaceGeneric,
         latticeQuantizeGeneric,

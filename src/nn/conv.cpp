@@ -14,7 +14,7 @@ namespace mrq {
 namespace {
 
 /** Reorder [a, b, plane] into [b, a, plane]: NCHW to channel-major
- *  [C, N, plane] and back. */
+ *  [C, N, plane]. */
 void
 swapLeadingAxes(const float* src, float* dst, std::size_t a, std::size_t b,
                 std::size_t plane)
@@ -55,49 +55,35 @@ Conv2d::forward(const Tensor& x)
     require(x.rank() == 4 && x.dim(1) == inChannels_,
             "Conv2d::forward: expected [N, ", inChannels_,
             ", H, W], got ", x.shapeString());
-    const std::size_t n = x.dim(0);
-    inH_ = x.dim(2);
-    inW_ = x.dim(3);
-    const std::size_t oh = convOutSize(inH_, kernel_, stride_, pad_);
-    const std::size_t ow = convOutSize(inW_, kernel_, stride_, pad_);
+    const std::size_t oh = convOutSize(x.dim(2), kernel_, stride_, pad_);
+    const std::size_t ow = convOutSize(x.dim(3), kernel_, stride_, pad_);
 
-    // Channel-major columns viewed as [K, N*OH*OW]: the whole batch is
-    // one matmul, and each output element's ascending-k fma chain is
-    // the same as in a per-image product.
-    const std::size_t plane = oh * ow;
-    const std::size_t cols_rows = inChannels_ * kernel_ * kernel_;
-    cachedCols_ = im2col(x, kernel_, stride_, pad_);
-    cachedCols_.reshape({cols_rows, n * plane});
+    cachedInput_ = x;
     cachedWq_ = quantizer_.project(weight_);
-    quantizer_.addMacs(n * outChannels_ * cols_rows * plane);
-
-    Tensor out = matmul(cachedWq_, cachedCols_); // [outC, N*OH*OW]
-    if (hasBias_) {
-        const kernels::KernelTable& kt = kernels::kernels();
-        for (std::size_t c = 0; c < outChannels_; ++c)
-            kt.addScalarInPlace(out.data() + c * n * plane, bias_.value[c],
-                                n * plane);
-        kernels::recordKernelElems(
-            kernels::KernelId::AddScalar,
-            static_cast<std::int64_t>(outChannels_ * n * plane));
-    }
-
-    Tensor y({n, outChannels_, oh, ow});
-    swapLeadingAxes(out.data(), y.data(), outChannels_, n, plane);
-    return y;
+    quantizer_.addMacs(x.dim(0) * outChannels_ * inChannels_ * kernel_ *
+                       kernel_ * oh * ow);
+    return conv2dForward(x, cachedWq_, hasBias_ ? &bias_.value : nullptr,
+                         kernel_, stride_, pad_, workspace_);
 }
 
 Tensor
 Conv2d::backward(const Tensor& dy)
 {
-    require(!cachedCols_.empty(), "Conv2d::backward before forward");
+    require(!cachedInput_.empty(), "Conv2d::backward before forward");
     require(dy.rank() == 4 && dy.dim(1) == outChannels_,
             "Conv2d::backward: gradient shape mismatch");
-    const std::size_t n = dy.dim(0);
+    const Tensor& x = cachedInput_;
+    const std::size_t n = x.dim(0), in_h = x.dim(2), in_w = x.dim(3);
+    require(dy.dim(0) == n &&
+                dy.dim(2) == convOutSize(in_h, kernel_, stride_, pad_) &&
+                dy.dim(3) == convOutSize(in_w, kernel_, stride_, pad_),
+            "Conv2d::backward: gradient ", dy.shapeString(),
+            " does not match the cached input ", x.shapeString());
     const std::size_t plane = dy.dim(2) * dy.dim(3);
-    const std::size_t cols_rows = cachedCols_.dim(0);
-    require(cachedCols_.dim(1) == n * plane,
-            "Conv2d::backward: spatial mismatch");
+    const std::size_t cols_rows = inChannels_ * kernel_ * kernel_;
+    // dW reads the input as im2col columns [K, N, OH*OW].
+    im2colInto(x, kernel_, stride_, pad_, cols_);
+    const Tensor& cols = cols_;
 
     // dY gathered channel-major, [outC, N*OH*OW], so dcols = Wq^T * dY
     // is one product that lands directly in im2col's layout.
@@ -138,7 +124,7 @@ Conv2d::backward(const Tensor& dy)
                         dy.data() + (img * outChannels_ + c) * plane;
                     for (std::size_t r = 0; r < cols_rows; ++r)
                         part.dw(c, r) += kt.dot(
-                            g, cachedCols_.data() + (r * n + img) * plane,
+                            g, cols.data() + (r * n + img) * plane,
                             plane);
                     if (hasBias_)
                         for (std::size_t i = 0; i < plane; ++i)
@@ -162,7 +148,7 @@ Conv2d::backward(const Tensor& dy)
         weight_.resetGrad();
     weight_.grad += dw_master;
 
-    return col2im(dcols, inChannels_, inH_, inW_, kernel_, stride_, pad_);
+    return col2im(dcols, inChannels_, in_h, in_w, kernel_, stride_, pad_);
 }
 
 void

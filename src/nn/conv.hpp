@@ -9,11 +9,14 @@
 #include "common/rng.hpp"
 #include "nn/module.hpp"
 #include "nn/weight_quantizer.hpp"
+#include "tensor/ops.hpp"
 
 namespace mrq {
 
-/** Standard NCHW convolution lowered through im2col: one matmul per
- *  batch (see DESIGN.md, "Conv path"). */
+/** Standard NCHW convolution.  The forward pass is one implicit GEMM
+ *  over a zero-padded copy of the input (conv2dForward); backward
+ *  lowers the cached input through im2col for dW and dX (see
+ *  DESIGN.md, "Conv path"). */
 class Conv2d : public Module
 {
   public:
@@ -57,9 +60,10 @@ class Conv2d : public Module
     Parameter bias_{"conv.bias"};
     WeightQuantizer quantizer_{"conv.clip_w"};
 
-    Tensor cachedCols_; ///< im2col columns viewed as [inC*k*k, N*OH*OW]
+    Tensor cachedInput_;
     Tensor cachedWq_;
-    std::size_t inH_ = 0, inW_ = 0;
+    ConvWorkspace workspace_;
+    Tensor cols_; ///< backward's im2col columns, reused across steps
 };
 
 /** Depthwise 3x3-style convolution: one filter per channel. */

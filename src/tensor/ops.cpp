@@ -1,6 +1,7 @@
 #include "tensor/ops.hpp"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "kernels/kernels.hpp"
@@ -147,6 +148,15 @@ Tensor
 im2col(const Tensor& input, std::size_t kernel, std::size_t stride,
        std::size_t pad)
 {
+    Tensor cols;
+    im2colInto(input, kernel, stride, pad, cols);
+    return cols;
+}
+
+void
+im2colInto(const Tensor& input, std::size_t kernel, std::size_t stride,
+           std::size_t pad, Tensor& cols)
+{
     require(input.rank() == 4, "im2col: NCHW input required");
     const std::size_t n = input.dim(0), c = input.dim(1);
     const std::size_t h = input.dim(2), w = input.dim(3);
@@ -155,7 +165,10 @@ im2col(const Tensor& input, std::size_t kernel, std::size_t stride,
     const std::size_t plane = oh * ow;
     const std::size_t rows = c * kernel * kernel;
 
-    Tensor cols({rows, n, plane});
+    // Every element is written below, so a buffer of the right shape
+    // is reused as is.
+    if (cols.shape() != std::vector<std::size_t>{rows, n, plane})
+        cols = Tensor({rows, n, plane});
     const float* px = input.data();
     float* pc = cols.data();
     // Row (ch, ky, kx) is one disjoint band of N * OH*OW columns.  In
@@ -198,7 +211,6 @@ im2col(const Tensor& input, std::size_t kernel, std::size_t stride,
             }
         }
     });
-    return cols;
 }
 
 Tensor
@@ -250,6 +262,176 @@ col2im(const Tensor& cols, std::size_t c, std::size_t h, std::size_t w,
         }
     });
     return img;
+}
+
+Tensor
+conv2dForward(const Tensor& x, const Tensor& w, const Tensor* bias,
+              std::size_t kernel, std::size_t stride, std::size_t pad,
+              ConvWorkspace& ws)
+{
+    require(x.rank() == 4, "conv2dForward: NCHW input required");
+    const std::size_t n = x.dim(0), c = x.dim(1);
+    const std::size_t h = x.dim(2), wd = x.dim(3);
+    const std::size_t m = w.dim(0), k = c * kernel * kernel;
+    require(w.rank() == 2 && w.dim(1) == k,
+            "conv2dForward: weight shape ", w.shapeString(),
+            " does not match ", c, " channels of ", kernel, "x", kernel);
+    require(bias == nullptr || bias->size() == m,
+            "conv2dForward: bias size mismatch");
+    const std::size_t oh = convOutSize(h, kernel, stride, pad);
+    const std::size_t ow = convOutSize(wd, kernel, stride, pad);
+    const std::size_t oplane = oh * ow;
+    Tensor y({n, m, oh, ow});
+    if (y.empty())
+        return y;
+
+    // Phase plane (py, px) holds padded pixel (i*s + py, j*s + px) at
+    // (i, j), so output (oy, ox) reads tap (ky, kx) at phase
+    // (ky % s, kx % s), position (oy + ky / s, ox + kx / s): one flat
+    // offset per tap on a grid of row pitch gw and image pitch gh
+    // rows.  Only phases some tap reads are built.
+    constexpr std::size_t mr = kernels::kConvTileRows;
+    constexpr std::size_t nr = kernels::kConvTileCols;
+    const std::size_t phases = std::min(stride, kernel);
+    // A pitch holds every phase's leading zeros and pixels but drops
+    // its trailing zeros: a read past the pitch wraps into the leading
+    // zeros of the next row (or image), which read as the same zero.
+    const auto pitch = [&](std::size_t in, std::size_t out) {
+        std::size_t p = out;
+        for (std::size_t ph = 0; ph < phases; ++ph) {
+            const auto [lead, end] =
+                validTapRange(in, in + 2 * pad, ph, stride, pad);
+            const std::size_t reach = out + (kernel - 1 - ph) / stride;
+            p = std::max({p, end, reach > lead ? reach - lead : 0});
+        }
+        return p;
+    };
+    const std::size_t gh = pitch(h, oh);
+    const std::size_t gw = pitch(wd, ow);
+    const std::size_t iplane = gh * gw;
+    // One zero image after each phase plane's batch takes the wrap of
+    // its last image.
+    const std::size_t phase_stride = (n + 1) * iplane;
+    const std::size_t ch_stride = phases * phases * phase_stride;
+    const std::size_t grid = (n - 1) * iplane + (oh - 1) * gw + ow;
+    const std::size_t tiles = kernels::ceilDiv(grid, nr);
+
+    ws.taps.resize(k);
+    std::size_t max_tap = 0;
+    for (std::size_t ch = 0; ch < c; ++ch)
+        for (std::size_t ky = 0; ky < kernel; ++ky)
+            for (std::size_t kx = 0; kx < kernel; ++kx) {
+                const std::size_t tap =
+                    ch * ch_stride +
+                    ((ky % stride) * phases + kx % stride) * phase_stride +
+                    (ky / stride) * gw + kx / stride;
+                ws.taps[(ch * kernel + ky) * kernel + kx] = tap;
+                max_tap = std::max(max_tap, tap);
+            }
+
+    // Everything but the input pixels is zero: the padding, the zero
+    // images, and the tail past the last plane that the final tile's
+    // widest tap reads (only into discarded columns).
+    // Pixels land on the same slots while the geometry stays the same,
+    // so the zeros are written only when it changes.
+    const std::array<std::size_t, 7> geometry = {n, c, h, wd, kernel,
+                                                 stride, pad};
+    if (geometry != ws.geometry) {
+        ws.geometry = geometry;
+        ws.input.assign(std::max(c * ch_stride, tiles * nr + max_tap), 0.0f);
+    }
+    const float* px = x.data();
+    float* pp = ws.input.data();
+    parallelFor(c * n, parallelGrain(phases * phases * iplane),
+                [&](std::size_t p0, std::size_t p1) {
+        for (std::size_t p = p0; p < p1; ++p) {
+            const std::size_t ch = p / n, img = p % n;
+            const float* src = px + (img * c + ch) * h * wd;
+            for (std::size_t py = 0; py < phases; ++py) {
+                const auto [ylo, yhi] = validTapRange(h, gh, py, stride, pad);
+                for (std::size_t pxp = 0; pxp < phases; ++pxp) {
+                    const auto [xlo, xhi] =
+                        validTapRange(wd, gw, pxp, stride, pad);
+                    float* dst = pp + ch * ch_stride +
+                                 (py * phases + pxp) * phase_stride +
+                                 img * iplane + xlo;
+                    // Grid (i, xlo + t) holds input pixel
+                    // (i * stride + py - pad, ix0 + t * stride).  The
+                    // rows are short, so a plain loop beats memcpy.
+                    for (std::size_t i = ylo; i < yhi; ++i) {
+                        const float* srow = src + (i * stride + py - pad) * wd +
+                                            (xlo * stride + pxp - pad);
+                        float* drow = dst + i * gw;
+                        for (std::size_t t = 0; t < xhi - xlo; ++t)
+                            drow[t] = srow[t * stride];
+                    }
+                }
+            }
+        }
+    });
+
+    // Weights packed [row block][k][kConvTileRows]; rows past m are
+    // zero, so the kernel skips them and the epilogue drops them.
+    const std::size_t blocks = kernels::ceilDiv(m, mr);
+    ws.panel.assign(blocks * k * mr, 0.0f);
+    for (std::size_t r = 0; r < m; ++r)
+        for (std::size_t kk = 0; kk < k; ++kk)
+            ws.panel[((r / mr) * k + kk) * mr + r % mr] = w(r, kk);
+
+    float* py_out = y.data();
+    const float* pb = bias != nullptr ? bias->data() : nullptr;
+    const kernels::KernelTable& kt = kernels::kernels();
+    kernels::KernelRegion kr(kernels::KernelId::GemmAxpy,
+                             static_cast<std::int64_t>(m * k * n * oplane));
+    // Row blocks of one column tile are adjacent items, so they reuse
+    // its B runs from cache.  Each output element belongs to exactly
+    // one item, whatever the chunking.
+    parallelFor(tiles * blocks, parallelGrain(mr * nr * k),
+                [&](std::size_t t0, std::size_t t1) {
+        alignas(64) float tile[mr * nr];
+        for (std::size_t t = t0; t < t1; ++t) {
+            const std::size_t g0 = (t / blocks) * nr;
+            const std::size_t r0 = (t % blocks) * mr;
+            kt.convTile({ws.panel.data() + (r0 / mr) * k * mr, pp + g0,
+                         ws.taps.data(), k, tile});
+            // Epilogue: each valid run of one output row goes to y.
+            const std::size_t rows = std::min(mr, m - r0);
+            const std::size_t g_end = std::min(grid, g0 + nr);
+            for (std::size_t g = g0; g < g_end;) {
+                const std::size_t img = g / iplane;
+                const std::size_t oy = g % iplane / gw;
+                const std::size_t ox = g % iplane % gw;
+                if (oy >= oh) {
+                    g = (img + 1) * iplane;
+                    continue;
+                }
+                if (ox >= ow) {
+                    g += gw - ox;
+                    continue;
+                }
+                const std::size_t len = std::min(ow - ox, g_end - g);
+                float* dst = py_out + (img * m + r0) * oplane + oy * ow + ox;
+                const float* src = tile + (g - g0);
+                // Adding -0 is exact for every float, so the no-bias
+                // path shares the loop (and avoids short memcpys).
+                for (std::size_t i = 0; i < rows; ++i) {
+                    float* drow = dst + i * oplane;
+                    const float* srow = src + i * nr;
+                    const float b = pb != nullptr ? pb[r0 + i] : -0.0f;
+                    for (std::size_t j = 0; j < len; ++j)
+                        drow[j] = srow[j] + b;
+                }
+                g += len;
+            }
+        }
+    });
+    if (pb != nullptr)
+        // The bias add is counted as the per-channel addScalarInPlace
+        // it replaces.
+        kernels::recordKernelElems(
+            kernels::KernelId::AddScalar,
+            static_cast<std::int64_t>(m * n * oplane));
+    return y;
 }
 
 } // namespace mrq

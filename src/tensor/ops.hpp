@@ -7,12 +7,17 @@
  * output rows (or row x column-block tiles), column rows or
  * (image, channel) planes with thread-count-independent chunk
  * boundaries, so results are bit-identical at any MRQ_THREADS
- * setting.  im2col / col2im implement the channel-major convolution
- * lowering used by the Conv2d layer.
+ * setting.  conv2dForward is the Conv2d forward pass (an implicit
+ * GEMM); im2col / col2im implement the channel-major column lowering
+ * its backward pass uses.
  */
 
 #ifndef MRQ_TENSOR_OPS_HPP
 #define MRQ_TENSOR_OPS_HPP
+
+#include <array>
+#include <cstddef>
+#include <vector>
 
 #include "tensor/tensor.hpp"
 
@@ -42,7 +47,8 @@ Tensor transpose2d(const Tensor& a);
  * Row r = (ch, ky, kx) holds, image after image, the input value each
  * output position reads through that tap (zero where it falls in the
  * padding).  Viewed as [c*kernel*kernel, n*out_h*out_w], the columns
- * feed a whole batch through one matmul.
+ * are the B operand of a whole batch's conv as one matmul (Conv2d's
+ * backward pass and the hw simulator read them).
  *
  * @param input  Shape [n, c, h, w].
  * @param kernel Kernel size (square).
@@ -53,6 +59,11 @@ Tensor transpose2d(const Tensor& a);
 Tensor im2col(const Tensor& input, std::size_t kernel, std::size_t stride,
               std::size_t pad);
 
+/** im2col into @p cols, reusing its buffer when it already has the
+ *  result's shape (a per-layer workspace across steps). */
+void im2colInto(const Tensor& input, std::size_t kernel, std::size_t stride,
+                std::size_t pad, Tensor& cols);
+
 /**
  * Inverse of im2col: scatter-add columns back into an NCHW gradient.
  *
@@ -62,6 +73,39 @@ Tensor im2col(const Tensor& input, std::size_t kernel, std::size_t stride,
 Tensor col2im(const Tensor& cols, std::size_t c, std::size_t h,
               std::size_t w, std::size_t kernel, std::size_t stride,
               std::size_t pad);
+
+/** Per-layer buffers of conv2dForward, reused across calls so a
+ *  steady-state forward allocates only its output. */
+struct ConvWorkspace
+{
+    std::array<std::size_t, 7> geometry{}; ///< Shape input was zeroed for.
+    std::vector<float> input;      ///< Zero-padded phase planes of x.
+    std::vector<float> panel;      ///< Weights packed per row block.
+    std::vector<std::size_t> taps; ///< B-row offset of each tap.
+};
+
+/**
+ * Standard convolution y = w * x (+ bias) as one implicit GEMM.
+ *
+ * x is copied once into @p ws as zero-padded planes, channel-major
+ * and split into stride x stride phase planes, so that every tap
+ * (ch, ky, kx) reads a contiguous run of one flat output grid: the
+ * grid's pitch keeps the leading but not the trailing padding, it
+ * spans the whole batch, and its columns past the output width or
+ * height are computed and discarded.  KernelTable::convTile runs each tile's full k-chain in
+ * registers, and the epilogue adds the bias and stores into NCHW y.
+ * Every y element gets the same fma sequence as
+ * matmul(w, im2col(x)) — ascending k, zero weights skipped — so the
+ * bits match it at any ISA and thread count.
+ *
+ * @param x    Shape [n, c, h, w].
+ * @param w    Shape [out_c, c * kernel * kernel].
+ * @param bias Shape [out_c], or nullptr.
+ * @return Shape [n, out_c, out_h, out_w].
+ */
+Tensor conv2dForward(const Tensor& x, const Tensor& w, const Tensor* bias,
+                     std::size_t kernel, std::size_t stride,
+                     std::size_t pad, ConvWorkspace& ws);
 
 /** Output spatial size for a conv/pool sweep. */
 inline std::size_t

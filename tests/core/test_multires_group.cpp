@@ -124,11 +124,11 @@ TEST(MultiResGroup, UsageTableMatchesFigure18)
     const auto table = g.usageTable(16);
     ASSERT_EQ(table.size(), 3u);
     EXPECT_EQ(table[0].first, 4);
-    EXPECT_EQ(table[0].second, (std::vector<std::uint16_t>{0, 2}));
+    EXPECT_EQ(table[0].second, (std::vector<std::uint32_t>{0, 2}));
     EXPECT_EQ(table[1].first, 3);
-    EXPECT_EQ(table[1].second, (std::vector<std::uint16_t>{3}));
+    EXPECT_EQ(table[1].second, (std::vector<std::uint32_t>{3}));
     EXPECT_EQ(table[2].first, 2);
-    EXPECT_EQ(table[2].second, (std::vector<std::uint16_t>{0}));
+    EXPECT_EQ(table[2].second, (std::vector<std::uint32_t>{0}));
 }
 
 TEST(MultiResGroup, UsageTableRespectsBudget)
@@ -137,6 +137,18 @@ TEST(MultiResGroup, UsageTableRespectsBudget)
     const auto table = g.usageTable(2);
     ASSERT_EQ(table.size(), 1u);
     EXPECT_EQ(table[0].second.size(), 2u);
+}
+
+TEST(MultiResGroup, UsageTableKeepsIndexesPastSixteenBits)
+{
+    // Members are indexed as wide as GroupTerm::valueIndex.
+    std::vector<std::int64_t> values(65537, 0);
+    values[65536] = 4;
+    MultiResGroup g(values, 8, TermEncoding::Ubr);
+    const auto table = g.usageTable(8);
+    ASSERT_EQ(table.size(), 1u);
+    EXPECT_EQ(table[0].first, 2);
+    EXPECT_EQ(table[0].second, (std::vector<std::uint32_t>{65536}));
 }
 
 TEST(MultiResGroup, IncrementRejectsReversedRange)

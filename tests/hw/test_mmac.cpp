@@ -180,6 +180,20 @@ TEST(Mmac, RejectsOversizedQueues)
         FatalError);
 }
 
+TEST(Mmac, RejectsGroupsBeyondEightBitIndexes)
+{
+    // The weight queue stores each term's member as 8 bits, so a cell
+    // addresses at most 256 members and a wider group is refused
+    // rather than charged to member index - 256.
+    EXPECT_NO_THROW(Mmac(kMmacMaxGroupSize, 4, 2));
+    EXPECT_THROW(Mmac(kMmacMaxGroupSize + 1, 4, 2), FatalError);
+
+    std::vector<std::int64_t> values(300, 0);
+    values[256] = 3;
+    const MultiResGroup group(values, 8, TermEncoding::Naf);
+    EXPECT_THROW(MmacWeightQueues::fromGroup(group, 8), FatalError);
+}
+
 TEST(PMac, ExactAndOneCyclePerPair)
 {
     Rng rng(3);

@@ -11,6 +11,7 @@
 #include "core/uniform_quant.hpp"
 #include "hw/perf_model.hpp"
 #include "hw/systolic.hpp"
+#include "hw/systolic_os.hpp"
 
 namespace mrq {
 namespace {
@@ -193,6 +194,33 @@ TEST(Systolic, RejectsBadShapes)
     const SubModelConfig cfg = tqConfig(8, 2);
     MmacSystolicArray array(2, 2, cfg);
     EXPECT_THROW(array.matmul({1, 2, 3}, 2, 2, {1, 2}, 1), FatalError);
+}
+
+TEST(Systolic, RejectsGroupsBeyondEightBitIndexes)
+{
+    // Group size 300 with w[0] = x[0] = 1 and w[256] = 3, x[256] = 0:
+    // y is 1, but an 8-bit member index would charge w[256] to x[0]
+    // and give 4.  The array refuses the group size instead.
+    const SubModelConfig cfg = tqConfig(16, 2, 300);
+    const auto run = [&] {
+        MmacSystolicArray array(1, 1, cfg);
+        std::vector<std::int64_t> w(300, 0), x(300, 0);
+        w[0] = 1;
+        x[0] = 1;
+        w[256] = 3;
+        return array.matmul(w, 1, 300, x, 1);
+    };
+    EXPECT_THROW(run(), FatalError);
+    EXPECT_THROW(OsMmacSystolicArray(1, 1, cfg), FatalError);
+
+    // 256 members is the widest group the array accepts.
+    const SubModelConfig widest = tqConfig(16, 2, kMmacMaxGroupSize);
+    MmacSystolicArray array(1, 1, widest);
+    std::vector<std::int64_t> w(256, 0), x(256, 0);
+    w[0] = x[0] = 1;
+    w[255] = 3;
+    EXPECT_EQ(array.matmul(w, 1, 256, x, 1),
+              std::vector<std::int64_t>{1});
 }
 
 TEST(PerfModel, LatencyScalesWithGamma)

@@ -576,6 +576,144 @@ TEST_F(ParityTest, Conv2dMatchesPerImageLoweringAcrossIsaAndThreads)
     ThreadPool::instance().resize(saved_threads);
 }
 
+/** Byte equality where both sides are finite; elsewhere the same
+ *  non-finite class (NaN payloads may differ between libm fma and
+ *  vfmadd). */
+bool
+sameFiniteBits(const std::vector<float>& a, const std::vector<float>& b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (std::isfinite(a[i]) && std::isfinite(b[i])) {
+            if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0)
+                return false;
+        } else if (std::isnan(a[i]) != std::isnan(b[i]) ||
+                   (std::isinf(a[i]) && a[i] != b[i])) {
+            return false;
+        }
+    }
+    return true;
+}
+
+/** Run Conv2d forward and backward on given operands. */
+ConvRun
+layerConv(const ConvCase& cc, const Tensor& x, const Tensor& w,
+          const Tensor& bias, const Tensor& dy)
+{
+    Rng init(1);
+    Conv2d conv(cc.in_c, cc.out_c, cc.kernel, cc.stride, cc.pad, init,
+                cc.bias);
+    conv.weight().value = w;
+    std::vector<Parameter*> params;
+    conv.collectParameters(params);
+    if (cc.bias)
+        params[1]->value = bias;
+    ConvRun got;
+    got.y = flatOf(conv.forward(x));
+    got.dx = flatOf(conv.backward(dy));
+    got.dw = flatOf(conv.weight().grad);
+    if (cc.bias)
+        got.dbias = flatOf(params[1]->grad);
+    return got;
+}
+
+TEST_F(ParityTest, Conv2dImplicitGemmEdgeShapesAcrossIsaAndThreads)
+{
+    // Shapes aimed at the implicit-GEMM forward's edges: out-channel
+    // counts off the tile's row multiple (tiny-YOLO's 5, 9, 21), grid
+    // rows with discarded columns and a partial last tile, both
+    // strided layouts, long k-chains, a batch spanning many tiles, and
+    // non-finite pixels that only zero weights read.
+    const std::vector<ConvCase> cases = {
+        {2, 3, 5, 7, 7, 3, 1, 1, true},
+        {3, 4, 9, 5, 6, 1, 1, 0, true},
+        {2, 8, 21, 4, 4, 1, 1, 0, true},
+        {2, 2, 3, 5, 13, 3, 1, 1, false},  // 15-wide rows, 2 discarded
+        {1, 3, 6, 3, 31, 3, 1, 2, true},   // pad 2, 4 discarded per row
+        {3, 3, 7, 12, 12, 3, 2, 1, false}, // 3x3 stride 2: phase planes
+        {2, 4, 5, 11, 9, 3, 2, 1, true},   // odd sides, stride 2
+        {3, 5, 6, 12, 12, 1, 2, 0, false}, // 1x1 stride 2
+        {2, 6, 9, 7, 9, 1, 2, 0, true},
+        {2, 32, 5, 5, 5, 3, 1, 1, true},   // K = 288
+        {2, 32, 33, 3, 3, 3, 2, 1, false}, // K = 288, stride 2
+        {9, 2, 4, 12, 12, 3, 1, 1, true},  // N*OH*OW over many tiles
+        {5, 1, 9, 2, 1, 3, 1, 1, true},    // H, W < k
+        {2, 3, 5, 7, 8, 1, 2, 1, true},    // 1x1 reading only padding
+        {2, 2, 6, 9, 10, 3, 2, 2, false},  // stride 2, pad 2
+    };
+    Rng rng(115);
+    const std::size_t saved_threads = ThreadPool::instance().threadCount();
+    for (std::size_t ci = 0; ci <= cases.size(); ++ci) {
+        // The last pass reruns case 0 with NaN and +-Inf pixels in an
+        // input channel whose weights are all zero: every output reads
+        // them only through skipped fmas, so y and dX stay finite.
+        const bool poison = ci == cases.size();
+        const ConvCase cc = cases[poison ? 0 : ci];
+        const std::string tag =
+            "case " + std::to_string(ci) + (poison ? " (non-finite)" : "");
+        const std::size_t kdim = cc.in_c * cc.kernel * cc.kernel;
+        const std::size_t taps = cc.kernel * cc.kernel;
+        Tensor x({cc.n, cc.in_c, cc.h, cc.w});
+        for (std::size_t i = 0; i < x.size(); ++i)
+            x[i] = static_cast<float>(rng.normal());
+        Tensor w({cc.out_c, kdim});
+        for (std::size_t i = 0; i < w.size(); ++i)
+            w[i] = rng.bernoulli(0.25) ? 0.0f
+                                       : static_cast<float>(rng.normal());
+        if (poison) {
+            const float bad[] = {std::nanf(""), INFINITY, -INFINITY};
+            const std::size_t plane = cc.h * cc.w;
+            for (std::size_t img = 0; img < cc.n; ++img)
+                for (std::size_t i = 0; i < plane; i += 2)
+                    x[(img * cc.in_c + 1) * plane + i] = bad[i / 2 % 3];
+            for (std::size_t o = 0; o < cc.out_c; ++o)
+                for (std::size_t t = 0; t < taps; ++t)
+                    w(o, taps + t) = 0.0f;
+        }
+        Tensor bias({cc.out_c});
+        for (std::size_t i = 0; i < bias.size(); ++i)
+            bias[i] = static_cast<float>(rng.normal());
+        const std::size_t oh =
+            convOutSize(cc.h, cc.kernel, cc.stride, cc.pad);
+        const std::size_t ow =
+            convOutSize(cc.w, cc.kernel, cc.stride, cc.pad);
+        Tensor dy({cc.n, cc.out_c, oh, ow});
+        for (std::size_t i = 0; i < dy.size(); ++i)
+            dy[i] = static_cast<float>(rng.normal());
+
+        kernels::setActiveIsa(Isa::Generic);
+        ThreadPool::instance().resize(1);
+        const ConvRun want = perImageConv(x, w, cc.bias ? &bias : nullptr,
+                                          dy, cc.kernel, cc.stride, cc.pad);
+        if (poison) {
+            for (float v : want.y)
+                ASSERT_TRUE(std::isfinite(v)) << tag;
+            for (float v : want.dx)
+                ASSERT_TRUE(std::isfinite(v)) << tag;
+        }
+        for (Isa isa : compiledIsas()) {
+            kernels::setActiveIsa(isa);
+            for (std::size_t threads : {1u, 2u, 4u}) {
+                ThreadPool::instance().resize(threads);
+                const ConvRun got = layerConv(cc, x, w, bias, dy);
+                const std::string where =
+                    tag + " isa=" + kernels::isaName(isa) +
+                    " threads=" + std::to_string(threads);
+                EXPECT_TRUE(bitEqual(want.y, got.y)) << "forward " << where;
+                EXPECT_TRUE(bitEqual(want.dx, got.dx)) << "dX " << where;
+                // dW reads the poisoned pixels through nonzero dY.
+                EXPECT_TRUE(poison ? sameFiniteBits(want.dw, got.dw)
+                                   : bitEqual(want.dw, got.dw))
+                    << "dW " << where;
+                EXPECT_TRUE(bitEqual(want.dbias, got.dbias))
+                    << "dBias " << where;
+            }
+        }
+    }
+    ThreadPool::instance().resize(saved_threads);
+}
+
 TEST_F(ParityTest, SetActiveIsaClampsAndDispatches)
 {
     // Requesting the generic table always succeeds and kernels()

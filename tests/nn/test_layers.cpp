@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv.hpp"
@@ -85,6 +88,63 @@ TEST(Conv2d, GradCheckStride2)
     Rng rng(8);
     Conv2d conv(2, 4, 3, 2, 1, rng);
     checkModuleGradients(conv, randomTensor({1, 2, 6, 6}, rng), 14);
+}
+
+TEST(Conv2d, EvalAndTrainingForwardsMatchBitwise)
+{
+    Rng rng(30);
+    Conv2d conv(3, 5, 3, 2, 1, rng, true);
+    std::vector<Parameter*> params;
+    conv.collectParameters(params);
+    params[1]->value = randomTensor({5}, rng);
+    const Tensor x = randomTensor({4, 3, 9, 7}, rng);
+    conv.setTraining(true);
+    const Tensor train = conv.forward(x);
+    conv.setTraining(false);
+    const Tensor eval = conv.forward(x);
+    ASSERT_EQ(train.shape(), eval.shape());
+    EXPECT_EQ(std::memcmp(train.data(), eval.data(),
+                          train.size() * sizeof(float)),
+              0);
+}
+
+TEST(Conv2d, BackwardUsesTheLatestForwardsInput)
+{
+    // A forward at batch 4 followed by one at batch 2: backward
+    // follows the cached batch-2 input, exactly as a layer that only
+    // saw the second forward.
+    Rng init_a(31), init_b(31);
+    Conv2d conv(2, 3, 3, 2, 1, init_a);
+    Conv2d fresh(2, 3, 3, 2, 1, init_b);
+    Rng rng(32);
+    const Tensor x4 = randomTensor({4, 2, 6, 5}, rng);
+    const Tensor x2 = randomTensor({2, 2, 6, 5}, rng);
+    const Tensor dy2 = randomTensor({2, 3, 3, 3}, rng);
+    conv.forward(x4);
+    conv.forward(x2);
+    fresh.forward(x2);
+    const Tensor dx = conv.backward(dy2);
+    const Tensor want = fresh.backward(dy2);
+    ASSERT_EQ(dx.shape(), x2.shape());
+    EXPECT_EQ(dx.flat(), want.flat());
+    EXPECT_EQ(conv.weight().grad.flat(), fresh.weight().grad.flat());
+    // A gradient shaped for the earlier batch no longer fits.
+    EXPECT_THROW(conv.backward(randomTensor({4, 3, 3, 3}, rng)),
+                 FatalError);
+}
+
+TEST(Conv2d, BackwardBeforeForwardFails)
+{
+    Rng rng(33);
+    Conv2d conv(2, 3, 3, 1, 1, rng);
+    try {
+        conv.backward(Tensor({1, 3, 4, 4}));
+        FAIL() << "backward before forward did not throw";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find("backward before forward"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(DepthwiseConv2d, PreservesChannelCount)

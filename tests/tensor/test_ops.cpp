@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/rng.hpp"
 #include "tensor/ops.hpp"
 
@@ -126,6 +128,26 @@ TEST(Ops, Im2colPaddingInsertsZeros)
     EXPECT_EQ(cols(0, 0, 0), 0.0f);
     // Center tap at output (0,0) reads input (0,0).
     EXPECT_EQ(cols(4, 0, 0), 1.0f);
+}
+
+TEST(Ops, Im2colIntoRewritesAReusedBuffer)
+{
+    // A buffer of the right shape is reused with every element
+    // rewritten (padding zeros included); any other shape is replaced.
+    Rng rng(4);
+    Tensor x({2, 3, 5, 4});
+    for (std::size_t i = 0; i < x.size(); ++i)
+        x[i] = static_cast<float>(rng.normal());
+    const Tensor want = im2col(x, 3, 2, 1);
+    Tensor cols(want.shape(), std::nanf(""));
+    const float* storage = cols.data();
+    im2colInto(x, 3, 2, 1, cols);
+    EXPECT_EQ(cols.data(), storage);
+    EXPECT_EQ(cols.flat(), want.flat());
+    Tensor wrong({7});
+    im2colInto(x, 3, 2, 1, wrong);
+    EXPECT_EQ(wrong.shape(), want.shape());
+    EXPECT_EQ(wrong.flat(), want.flat());
 }
 
 TEST(Ops, Col2imIsAdjointOfIm2col)
