@@ -46,6 +46,12 @@ PackedGroup::PackedGroup(std::size_t group_size,
     for (std::uint8_t idx : indexes_)
         require(idx < groupSize_,
                 "PackedGroup: index field out of group range");
+    // decode() shifts by the exponent field, so a field the format
+    // cannot hold (a corrupt byte) must not reach it.
+    for (std::uint8_t term : terms_)
+        require((term >> 1) < (1u << fmt_.exponentBits),
+                "PackedGroup: exponent field ", term >> 1,
+                " does not fit in ", fmt_.exponentBits, " bits");
 }
 
 std::vector<std::int64_t>

@@ -50,6 +50,16 @@ constexpr std::size_t kGemmColumnBlock = 1024;
 constexpr std::size_t kConvTileRows = 4;
 constexpr std::size_t kConvTileCols = 64;
 
+/**
+ * Tile of the conv weight-gradient kernel (KernelTable::convGradTile):
+ * kConvGradTileRows output channels (one 16-lane vector of a
+ * channel-minor dY row) by kConvGradTileTaps taps.  Each of its dots
+ * keeps dot()'s own lane order, so the tile shape affects speed, not
+ * bits.
+ */
+constexpr std::size_t kConvGradTileRows = 16;
+constexpr std::size_t kConvGradTileTaps = 4;
+
 /** Exponent bound of any power-of-two term we handle (matches the
  *  encodeNaf/encodeBooth runaway invariant in src/core/sdr.cpp). */
 constexpr std::size_t kMaxTermExponent = 72;

@@ -20,7 +20,8 @@
  *    fused multiply-add, and the lanes collapse in a fixed binary
  *    tree (lane l absorbs lane l + 8, then l + 4, l + 2, l + 1).
  *    The generic build keeps 16 scalar accumulators and runs the
- *    identical tree.
+ *    identical tree.  convGradTile keeps each of its dots' lanes and
+ *    tree, vectorized across dots instead of across lanes.
  *  - Elementwise kernels (axpy, addRowInPlace, addScalarInPlace,
  *    lstmGates) have one FP operation per element, so only the
  *    operation itself needs pinning: multiplies and adds are IEEE
@@ -68,14 +69,44 @@ struct LatticeParams
  * i < kConvTileRows and j < kConvTileCols.  Row kk of B is the
  * contiguous run starting taps[kk] floats past @p b, so B is read
  * straight from a padded input and never materialized.
+ *
+ * The chain is cut into segments of @p seg rows: each segment sums
+ * from +0 on its own, and C is s_0 + s_1 + ... folded in segment
+ * order (C is s_0 itself when seg == k).  The forward conv is one
+ * segment; the dX conv is one segment of outC rows per tap, which is
+ * col2im's per-tap sum.
  */
 struct ConvTileArgs
 {
     const float* a;           ///< Packed weights, [k][kConvTileRows].
     const float* b;           ///< B origin of the tile's column 0.
     const std::size_t* taps;  ///< Offset of B row kk from @p b.
-    std::size_t k;            ///< Chain length (rows of B).
+    std::size_t k;            ///< Chain length (rows of B), > 0.
+    std::size_t seg;          ///< Segment length; divides k.
     float* c;                 ///< Output, [kConvTileRows][kConvTileCols].
+};
+
+/**
+ * Operands of one conv weight-gradient tile (KernelTable::convGradTile):
+ * for channel i < kConvGradTileRows and tap r < kConvGradTileTaps,
+ * dw[r][i] = +0 + d_0 + d_1 + ... + d_{n-1}, where d_img is the dot
+ * over p < plane of dy[img][p][i] and x[img][pos[p] + taps[r]], in
+ * dot()'s order: p lands in lane p % kDotLanes by fma(dy, x, lane),
+ * and the lanes collapse in dot()'s tree.  dY is read channel-minor
+ * and x from the forward's padded grid, so neither is gathered into
+ * rows first.
+ */
+struct ConvGradTileArgs
+{
+    const float* dy;          ///< dY of image 0, [plane][ldc], at channel 0.
+    std::size_t ldc;          ///< Row pitch of dy; image pitch plane * ldc.
+    const float* x;           ///< Padded input grid of image 0.
+    std::size_t xImage;       ///< Image pitch of x.
+    const std::size_t* pos;   ///< Grid offset of output position p.
+    std::size_t plane;        ///< Output positions per image.
+    const std::size_t* taps;  ///< Grid offset of each tap.
+    std::size_t n;            ///< Images.
+    float* dw;                ///< Output, [kConvGradTileTaps][kConvGradTileRows].
 };
 
 /**
@@ -94,13 +125,20 @@ struct KernelTable
     void (*axpy)(float a, const float* x, float* y, std::size_t n);
 
     /**
-     * Implicit-GEMM conv tile (ConvTileArgs).  Each C element starts
-     * at +0 and takes c = fma(a, b, c) for every kk in ascending
-     * order whose a != 0 — the same chain as axpy-row matmul, zero
-     * skip included (masked fma on AVX-512, a blend on AVX2, a branch
-     * in generic).
+     * Implicit-GEMM conv tile (ConvTileArgs).  Each segment sum
+     * starts at +0 and takes s = fma(a, b, s) for every kk in
+     * ascending order whose a != 0 — the same chain as axpy-row
+     * matmul, zero skip included (masked fma on AVX-512, a blend on
+     * AVX2, a branch in generic) — and C adds the segments in order.
      */
     void (*convTile)(const ConvTileArgs& t);
+
+    /**
+     * Conv weight-gradient tile (ConvGradTileArgs): every output is
+     * dot()'s 16-lane sum per image, folded over images in order from
+     * +0 — the per-image dot loop's bits, many dots per pass.
+     */
+    void (*convGradTile)(const ConvGradTileArgs& t);
 
     /** y[i] += row[i] (bias rows, elementwise tensor adds). */
     void (*addRowInPlace)(float* y, const float* row, std::size_t n);

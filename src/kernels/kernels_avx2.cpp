@@ -112,30 +112,101 @@ convTileAvx2(const ConvTileArgs& t)
 {
     constexpr std::size_t kStrip = 16;
     const __m256 zero = _mm256_setzero_ps();
-    for (std::size_t j0 = 0; j0 < kConvTileCols; j0 += kStrip) {
-        __m256 acc[kConvTileRows][2];
-        for (std::size_t i = 0; i < kConvTileRows; ++i)
-            acc[i][0] = acc[i][1] = zero;
-        for (std::size_t kk = 0; kk < t.k; ++kk) {
-            const float* brow = t.b + t.taps[kk] + j0;
-            const __m256 b0 = _mm256_loadu_ps(brow);
-            const __m256 b1 = _mm256_loadu_ps(brow + 8);
-            const float* ak = t.a + kk * kConvTileRows;
-            for (std::size_t i = 0; i < kConvTileRows; ++i) {
-                const __m256 av = _mm256_broadcast_ss(ak + i);
-                const __m256 keep = _mm256_cmp_ps(av, zero, _CMP_NEQ_UQ);
-                acc[i][0] = _mm256_blendv_ps(
-                    acc[i][0], _mm256_fmadd_ps(av, b0, acc[i][0]), keep);
-                acc[i][1] = _mm256_blendv_ps(
-                    acc[i][1], _mm256_fmadd_ps(av, b1, acc[i][1]), keep);
+    for (std::size_t j0 = 0; j0 < kConvTileCols; j0 += kStrip)
+        for (std::size_t s0 = 0; s0 < t.k; s0 += t.seg) {
+            __m256 acc[kConvTileRows][2];
+            for (std::size_t i = 0; i < kConvTileRows; ++i)
+                acc[i][0] = acc[i][1] = zero;
+            for (std::size_t kk = s0; kk < s0 + t.seg; ++kk) {
+                const float* brow = t.b + t.taps[kk] + j0;
+                const __m256 b0 = _mm256_loadu_ps(brow);
+                const __m256 b1 = _mm256_loadu_ps(brow + 8);
+                const float* ak = t.a + kk * kConvTileRows;
+                for (std::size_t i = 0; i < kConvTileRows; ++i) {
+                    const __m256 av = _mm256_broadcast_ss(ak + i);
+                    const __m256 keep =
+                        _mm256_cmp_ps(av, zero, _CMP_NEQ_UQ);
+                    acc[i][0] = _mm256_blendv_ps(
+                        acc[i][0], _mm256_fmadd_ps(av, b0, acc[i][0]),
+                        keep);
+                    acc[i][1] = _mm256_blendv_ps(
+                        acc[i][1], _mm256_fmadd_ps(av, b1, acc[i][1]),
+                        keep);
+                }
             }
+            for (std::size_t i = 0; i < kConvTileRows; ++i)
+                for (std::size_t h = 0; h < 2; ++h) {
+                    float* c = t.c + i * kConvTileCols + j0 + 8 * h;
+                    _mm256_storeu_ps(
+                        c, s0 == 0 ? acc[i][h]
+                                   : _mm256_add_ps(_mm256_loadu_ps(c),
+                                                   acc[i][h]));
+                }
         }
-        for (std::size_t i = 0; i < kConvTileRows; ++i) {
-            float* crow = t.c + i * kConvTileCols + j0;
-            _mm256_storeu_ps(crow, acc[i][0]);
-            _mm256_storeu_ps(crow + 8, acc[i][1]);
+}
+
+/** Sub-tile of the weight-gradient kernel that fits the 16 ymm:
+ *  one ymm of channels by two taps. */
+constexpr std::size_t kGradTaps = 2;
+
+/** The dots of one image for one 8-channel, two-tap sub-tile. */
+struct GradImage
+{
+    const float* dy;
+    std::size_t ldc;
+    const float* x;
+    const std::size_t* pos;
+    std::size_t plane;
+    const std::size_t* taps;
+};
+
+/** dot()'s lane tree, depth first, as in the AVX-512 variant:
+ *  node (l, H) adds node (l + H, 2H) to node (l, 2H); the leaves are
+ *  the lanes' fma chains. */
+template <std::size_t H>
+__attribute__((always_inline)) inline void
+gradTree(const GradImage& g, std::size_t l, __m256 (&out)[kGradTaps])
+{
+    if constexpr (H == kDotLanes) {
+        for (std::size_t r = 0; r < kGradTaps; ++r)
+            out[r] = _mm256_setzero_ps();
+        for (std::size_t p = l; p < g.plane; p += kDotLanes) {
+            const __m256 d = _mm256_loadu_ps(g.dy + p * g.ldc);
+            const float* xp = g.x + g.pos[p];
+            for (std::size_t r = 0; r < kGradTaps; ++r)
+                out[r] = _mm256_fmadd_ps(d, _mm256_set1_ps(xp[g.taps[r]]),
+                                         out[r]);
         }
+    } else {
+        __m256 hi[kGradTaps];
+        gradTree<2 * H>(g, l, out);
+        gradTree<2 * H>(g, l + H, hi);
+        for (std::size_t r = 0; r < kGradTaps; ++r)
+            out[r] = _mm256_add_ps(out[r], hi[r]);
     }
+}
+
+void
+convGradTileAvx2(const ConvGradTileArgs& t)
+{
+    for (std::size_t r0 = 0; r0 < kConvGradTileTaps; r0 += kGradTaps)
+        for (std::size_t c0 = 0; c0 < kConvGradTileRows; c0 += 8) {
+            __m256 total[kGradTaps];
+            for (std::size_t r = 0; r < kGradTaps; ++r)
+                total[r] = _mm256_setzero_ps();
+            for (std::size_t img = 0; img < t.n; ++img) {
+                const GradImage g = {t.dy + img * t.plane * t.ldc + c0,
+                                     t.ldc, t.x + img * t.xImage, t.pos,
+                                     t.plane, t.taps + r0};
+                __m256 d[kGradTaps];
+                gradTree<1>(g, 0, d);
+                for (std::size_t r = 0; r < kGradTaps; ++r)
+                    total[r] = _mm256_add_ps(total[r], d[r]);
+            }
+            for (std::size_t r = 0; r < kGradTaps; ++r)
+                _mm256_storeu_ps(t.dw + (r0 + r) * kConvGradTileRows + c0,
+                                 total[r]);
+        }
 }
 
 void
@@ -359,6 +430,7 @@ avx2Table()
         dotAvx2,
         axpyAvx2,
         convTileAvx2,
+        convGradTileAvx2,
         addRowInPlaceAvx2,
         addScalarInPlaceAvx2,
         latticeQuantizeAvx2,

@@ -87,35 +87,105 @@ axpyAvx512(float a, const float* x, float* y, std::size_t n)
     }
 }
 
-/** The whole tile in registers: four rows of four zmm.  The zero
+/** A whole segment in registers: four rows of four zmm.  The zero
  *  skip is a merge-masked fma whose mask is a != 0 (unordered, so a
- *  NaN weight still runs). */
+ *  NaN weight still runs).  Segments after the first add into C. */
 void
 convTileAvx512(const ConvTileArgs& t)
 {
     constexpr std::size_t kVecs = kConvTileCols / 16;
     const __m512 zero = _mm512_setzero_ps();
-    __m512 acc[kConvTileRows][kVecs];
-    for (std::size_t i = 0; i < kConvTileRows; ++i)
-        for (std::size_t v = 0; v < kVecs; ++v)
-            acc[i][v] = zero;
-    for (std::size_t kk = 0; kk < t.k; ++kk) {
-        const float* brow = t.b + t.taps[kk];
-        __m512 b[kVecs];
-        for (std::size_t v = 0; v < kVecs; ++v)
-            b[v] = _mm512_loadu_ps(brow + 16 * v);
-        const float* ak = t.a + kk * kConvTileRows;
-        for (std::size_t i = 0; i < kConvTileRows; ++i) {
-            const __m512 av = _mm512_set1_ps(ak[i]);
-            const __mmask16 keep =
-                _mm512_cmp_ps_mask(av, zero, _CMP_NEQ_UQ);
+    for (std::size_t s0 = 0; s0 < t.k; s0 += t.seg) {
+        __m512 acc[kConvTileRows][kVecs];
+        for (std::size_t i = 0; i < kConvTileRows; ++i)
             for (std::size_t v = 0; v < kVecs; ++v)
-                acc[i][v] = _mm512_mask3_fmadd_ps(av, b[v], acc[i][v], keep);
+                acc[i][v] = zero;
+        for (std::size_t kk = s0; kk < s0 + t.seg; ++kk) {
+            const float* brow = t.b + t.taps[kk];
+            __m512 b[kVecs];
+            for (std::size_t v = 0; v < kVecs; ++v)
+                b[v] = _mm512_loadu_ps(brow + 16 * v);
+            const float* ak = t.a + kk * kConvTileRows;
+            for (std::size_t i = 0; i < kConvTileRows; ++i) {
+                const __m512 av = _mm512_set1_ps(ak[i]);
+                const __mmask16 keep =
+                    _mm512_cmp_ps_mask(av, zero, _CMP_NEQ_UQ);
+                for (std::size_t v = 0; v < kVecs; ++v)
+                    acc[i][v] =
+                        _mm512_mask3_fmadd_ps(av, b[v], acc[i][v], keep);
+            }
         }
+        for (std::size_t i = 0; i < kConvTileRows; ++i)
+            for (std::size_t v = 0; v < kVecs; ++v) {
+                float* c = t.c + i * kConvTileCols + 16 * v;
+                _mm512_storeu_ps(
+                    c, s0 == 0 ? acc[i][v]
+                               : _mm512_add_ps(_mm512_loadu_ps(c),
+                                               acc[i][v]));
+            }
     }
-    for (std::size_t i = 0; i < kConvTileRows; ++i)
-        for (std::size_t v = 0; v < kVecs; ++v)
-            _mm512_storeu_ps(t.c + i * kConvTileCols + 16 * v, acc[i][v]);
+}
+
+static_assert(kConvGradTileRows == 16, "one zmm of channels per tap");
+
+/** The dots of one image, channels across the zmm lanes. */
+struct GradImage
+{
+    const float* dy;
+    std::size_t ldc;
+    const float* x;
+    const std::size_t* pos;
+    std::size_t plane;
+    const std::size_t* taps;
+};
+
+/**
+ * Node (l, H) of dot()'s lane tree for every channel and tap at once:
+ * H == kDotLanes is lane l's fma chain over p = l, l + 16, ...; a
+ * node above it adds node (l + H, 2H) to node (l, 2H), so
+ * gradTree<1>(g, 0) is lane 0 after the tree has collapsed (lane l
+ * absorbs l + 8, then l + 4, l + 2, l + 1).  Depth-first, at most one
+ * pending partial per level stays live.
+ */
+template <std::size_t H>
+__attribute__((always_inline)) inline void
+gradTree(const GradImage& g, std::size_t l, __m512 (&out)[kConvGradTileTaps])
+{
+    if constexpr (H == kDotLanes) {
+        for (std::size_t r = 0; r < kConvGradTileTaps; ++r)
+            out[r] = _mm512_setzero_ps();
+        for (std::size_t p = l; p < g.plane; p += kDotLanes) {
+            const __m512 d = _mm512_loadu_ps(g.dy + p * g.ldc);
+            const float* xp = g.x + g.pos[p];
+            for (std::size_t r = 0; r < kConvGradTileTaps; ++r)
+                out[r] = _mm512_fmadd_ps(d, _mm512_set1_ps(xp[g.taps[r]]),
+                                         out[r]);
+        }
+    } else {
+        __m512 hi[kConvGradTileTaps];
+        gradTree<2 * H>(g, l, out);
+        gradTree<2 * H>(g, l + H, hi);
+        for (std::size_t r = 0; r < kConvGradTileTaps; ++r)
+            out[r] = _mm512_add_ps(out[r], hi[r]);
+    }
+}
+
+void
+convGradTileAvx512(const ConvGradTileArgs& t)
+{
+    __m512 total[kConvGradTileTaps];
+    for (std::size_t r = 0; r < kConvGradTileTaps; ++r)
+        total[r] = _mm512_setzero_ps();
+    for (std::size_t img = 0; img < t.n; ++img) {
+        const GradImage g = {t.dy + img * t.plane * t.ldc, t.ldc,
+                             t.x + img * t.xImage, t.pos, t.plane, t.taps};
+        __m512 d[kConvGradTileTaps];
+        gradTree<1>(g, 0, d);
+        for (std::size_t r = 0; r < kConvGradTileTaps; ++r)
+            total[r] = _mm512_add_ps(total[r], d[r]);
+    }
+    for (std::size_t r = 0; r < kConvGradTileTaps; ++r)
+        _mm512_storeu_ps(t.dw + r * kConvGradTileRows, total[r]);
 }
 
 void
@@ -334,6 +404,7 @@ avx512Table()
         dotAvx512,
         axpyAvx512,
         convTileAvx512,
+        convGradTileAvx512,
         addRowInPlaceAvx512,
         addScalarInPlaceAvx512,
         latticeQuantizeAvx512,

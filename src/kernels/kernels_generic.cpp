@@ -20,6 +20,16 @@ namespace kernels {
 
 namespace {
 
+/** Fixed binary tree: lane l absorbs lane l + half, half halving. */
+float
+reduceLanes(float (&lanes)[kDotLanes])
+{
+    for (std::size_t half = kDotLanes / 2; half > 0; half /= 2)
+        for (std::size_t l = 0; l < half; ++l)
+            lanes[l] += lanes[l + half];
+    return lanes[0];
+}
+
 float
 dotGeneric(const float* a, const float* b, std::size_t n)
 {
@@ -31,11 +41,7 @@ dotGeneric(const float* a, const float* b, std::size_t n)
             lanes[l] = fmadd(a[i + l], b[i + l], lanes[l]);
     for (; i < n; ++i)
         lanes[i % kDotLanes] = fmadd(a[i], b[i], lanes[i % kDotLanes]);
-    // Fixed binary tree: lane l absorbs lane l + half, half halving.
-    for (std::size_t half = kDotLanes / 2; half > 0; half /= 2)
-        for (std::size_t l = 0; l < half; ++l)
-            lanes[l] += lanes[l + half];
-    return lanes[0];
+    return reduceLanes(lanes);
 }
 
 void
@@ -49,21 +55,46 @@ axpyGeneric(float a, const float* x, float* y, std::size_t n)
 void
 convTileGeneric(const ConvTileArgs& t)
 {
-    float acc[kConvTileRows][kConvTileCols] = {};
-    for (std::size_t kk = 0; kk < t.k; ++kk) {
-        const float* brow = t.b + t.taps[kk];
-        const float* ak = t.a + kk * kConvTileRows;
-        for (std::size_t i = 0; i < kConvTileRows; ++i) {
-            const float a = ak[i];
-            if (a == 0.0f)
-                continue;
-            for (std::size_t j = 0; j < kConvTileCols; ++j)
-                acc[i][j] = fmadd(a, brow[j], acc[i][j]);
+    float* c = t.c;
+    for (std::size_t s0 = 0; s0 < t.k; s0 += t.seg) {
+        float acc[kConvTileRows][kConvTileCols] = {};
+        for (std::size_t kk = s0; kk < s0 + t.seg; ++kk) {
+            const float* brow = t.b + t.taps[kk];
+            const float* ak = t.a + kk * kConvTileRows;
+            for (std::size_t i = 0; i < kConvTileRows; ++i) {
+                const float a = ak[i];
+                if (a == 0.0f)
+                    continue;
+                for (std::size_t j = 0; j < kConvTileCols; ++j)
+                    acc[i][j] = fmadd(a, brow[j], acc[i][j]);
+            }
         }
+        for (std::size_t i = 0; i < kConvTileRows; ++i)
+            for (std::size_t j = 0; j < kConvTileCols; ++j) {
+                float& out = c[i * kConvTileCols + j];
+                out = s0 == 0 ? acc[i][j] : out + acc[i][j];
+            }
     }
-    for (std::size_t i = 0; i < kConvTileRows; ++i)
-        for (std::size_t j = 0; j < kConvTileCols; ++j)
-            t.c[i * kConvTileCols + j] = acc[i][j];
+}
+
+/** One dot() per (tap, channel), written out with its own lanes. */
+void
+convGradTileGeneric(const ConvGradTileArgs& t)
+{
+    for (std::size_t r = 0; r < kConvGradTileTaps; ++r)
+        for (std::size_t i = 0; i < kConvGradTileRows; ++i) {
+            float total = 0.0f;
+            for (std::size_t img = 0; img < t.n; ++img) {
+                const float* dy = t.dy + img * t.plane * t.ldc + i;
+                const float* x = t.x + img * t.xImage + t.taps[r];
+                float lanes[kDotLanes] = {};
+                for (std::size_t p = 0; p < t.plane; ++p)
+                    lanes[p % kDotLanes] = fmadd(
+                        dy[p * t.ldc], x[t.pos[p]], lanes[p % kDotLanes]);
+                total += reduceLanes(lanes);
+            }
+            t.dw[r * kConvGradTileRows + i] = total;
+        }
 }
 
 void
@@ -164,6 +195,7 @@ genericTable()
         dotGeneric,
         axpyGeneric,
         convTileGeneric,
+        convGradTileGeneric,
         addRowInPlaceGeneric,
         addScalarInPlaceGeneric,
         latticeQuantizeGeneric,

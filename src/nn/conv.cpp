@@ -11,26 +11,6 @@
 
 namespace mrq {
 
-namespace {
-
-/** Reorder [a, b, plane] into [b, a, plane]: NCHW to channel-major
- *  [C, N, plane]. */
-void
-swapLeadingAxes(const float* src, float* dst, std::size_t a, std::size_t b,
-                std::size_t plane)
-{
-    parallelFor(b, parallelGrain(a * plane),
-                [&](std::size_t j0, std::size_t j1) {
-        for (std::size_t j = j0; j < j1; ++j)
-            for (std::size_t i = 0; i < a; ++i) {
-                const float* row = src + (i * b + j) * plane;
-                std::copy(row, row + plane, dst + (j * a + i) * plane);
-            }
-    });
-}
-
-} // namespace
-
 Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
                std::size_t kernel, std::size_t stride, std::size_t pad,
                Rng& rng, bool bias)
@@ -58,7 +38,6 @@ Conv2d::forward(const Tensor& x)
     const std::size_t oh = convOutSize(x.dim(2), kernel_, stride_, pad_);
     const std::size_t ow = convOutSize(x.dim(3), kernel_, stride_, pad_);
 
-    cachedInput_ = x;
     cachedWq_ = quantizer_.project(weight_);
     quantizer_.addMacs(x.dim(0) * outChannels_ * inChannels_ * kernel_ *
                        kernel_ * oh * ow);
@@ -69,86 +48,38 @@ Conv2d::forward(const Tensor& x)
 Tensor
 Conv2d::backward(const Tensor& dy)
 {
-    require(!cachedInput_.empty(), "Conv2d::backward before forward");
+    // The workspace keeps the forward's padded input, which is all
+    // backward reads of it.
+    require(workspace_.geometry[1] != 0, "Conv2d::backward before forward");
     require(dy.rank() == 4 && dy.dim(1) == outChannels_,
             "Conv2d::backward: gradient shape mismatch");
-    const Tensor& x = cachedInput_;
-    const std::size_t n = x.dim(0), in_h = x.dim(2), in_w = x.dim(3);
-    require(dy.dim(0) == n &&
-                dy.dim(2) == convOutSize(in_h, kernel_, stride_, pad_) &&
-                dy.dim(3) == convOutSize(in_w, kernel_, stride_, pad_),
-            "Conv2d::backward: gradient ", dy.shapeString(),
-            " does not match the cached input ", x.shapeString());
-    const std::size_t plane = dy.dim(2) * dy.dim(3);
-    const std::size_t cols_rows = inChannels_ * kernel_ * kernel_;
-    // dW reads the input as im2col columns [K, N, OH*OW].
-    im2colInto(x, kernel_, stride_, pad_, cols_);
-    const Tensor& cols = cols_;
+    Tensor dx = conv2dBackward(dy, cachedWq_, workspace_, dw_);
 
-    // dY gathered channel-major, [outC, N*OH*OW], so dcols = Wq^T * dY
-    // is one product that lands directly in im2col's layout.
-    Tensor dy_cm({outChannels_, n * plane});
-    swapLeadingAxes(dy.data(), dy_cm.data(), n, outChannels_, plane);
-    Tensor dcols = matmulTransA(cachedWq_, dy_cm); // [K, N*OH*OW]
-    dcols.reshape({cols_rows, n, plane});
-
-    // Per-image contributions to dW (and the bias gradient) are summed
-    // via fixed-boundary chunk partials combined in chunk order, so
-    // the totals are thread-count independent.  Each image's dW entry
-    // is one dot of two contiguous rows, dy[img, c, :] and
-    // cols[k, img, :].
-    struct GradPartial
-    {
-        Tensor dw;
-        Tensor bias;
-    };
-    GradPartial identity;
-    identity.dw = Tensor({outChannels_, cols_rows});
-    if (hasBias_)
-        identity.bias = Tensor({outChannels_});
-
-    const kernels::KernelTable& kt = kernels::kernels();
-    kernels::KernelRegion kr(
-        kernels::KernelId::GemmDot,
-        static_cast<std::int64_t>(n * outChannels_ * cols_rows * plane));
-    const GradPartial total = parallelReduce(
-        n, std::size_t{1}, identity,
-        [&](std::size_t i0, std::size_t i1) {
-            GradPartial part;
-            part.dw = Tensor({outChannels_, cols_rows});
-            if (hasBias_)
-                part.bias = Tensor({outChannels_});
-            for (std::size_t img = i0; img < i1; ++img) {
-                for (std::size_t c = 0; c < outChannels_; ++c) {
+    if (hasBias_) {
+        // Per image a sequential sum from +0, folded in image order.
+        const std::size_t n = dy.dim(0), plane = dy.dim(2) * dy.dim(3);
+        parallelFor(outChannels_, parallelGrain(n * plane),
+                    [&](std::size_t c0, std::size_t c1) {
+            for (std::size_t c = c0; c < c1; ++c) {
+                float total = 0.0f;
+                for (std::size_t img = 0; img < n; ++img) {
                     const float* g =
                         dy.data() + (img * outChannels_ + c) * plane;
-                    for (std::size_t r = 0; r < cols_rows; ++r)
-                        part.dw(c, r) += kt.dot(
-                            g, cols.data() + (r * n + img) * plane,
-                            plane);
-                    if (hasBias_)
-                        for (std::size_t i = 0; i < plane; ++i)
-                            part.bias[c] += g[i];
+                    float sum = 0.0f;
+                    for (std::size_t i = 0; i < plane; ++i)
+                        sum += g[i];
+                    total += sum;
                 }
+                bias_.grad[c] += total;
             }
-            return part;
-        },
-        [&](GradPartial acc, const GradPartial& part) {
-            acc.dw += part.dw;
-            if (hasBias_)
-                acc.bias += part.bias;
-            return acc;
         });
+    }
 
-    if (hasBias_)
-        bias_.grad += total.bias;
-
-    Tensor dw_master = quantizer_.backward(weight_.value, total.dw);
+    Tensor dw_master = quantizer_.backward(weight_.value, dw_);
     if (!weight_.grad.sameShape(weight_.value))
         weight_.resetGrad();
     weight_.grad += dw_master;
-
-    return col2im(dcols, inChannels_, in_h, in_w, kernel_, stride_, pad_);
+    return dx;
 }
 
 void

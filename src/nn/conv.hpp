@@ -13,10 +13,12 @@
 
 namespace mrq {
 
-/** Standard NCHW convolution.  The forward pass is one implicit GEMM
- *  over a zero-padded copy of the input (conv2dForward); backward
- *  lowers the cached input through im2col for dW and dX (see
- *  DESIGN.md, "Conv path"). */
+/** Standard NCHW convolution on the register-tiled conv core: the
+ *  forward pass is one implicit GEMM over a zero-padded copy of the
+ *  input (conv2dForward); backward computes dX as a transposed
+ *  implicit GEMM over zero-padded dY and dW from that same padded
+ *  input (conv2dBackward), with no column buffers (see DESIGN.md,
+ *  "Conv path"). */
 class Conv2d : public Module
 {
   public:
@@ -60,10 +62,9 @@ class Conv2d : public Module
     Parameter bias_{"conv.bias"};
     WeightQuantizer quantizer_{"conv.clip_w"};
 
-    Tensor cachedInput_;
     Tensor cachedWq_;
-    ConvWorkspace workspace_;
-    Tensor cols_; ///< backward's im2col columns, reused across steps
+    ConvWorkspace workspace_; ///< Also holds the input backward reads.
+    Tensor dw_; ///< Gradient w.r.t. cachedWq_, reused across steps.
 };
 
 /** Depthwise 3x3-style convolution: one filter per channel. */

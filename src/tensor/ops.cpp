@@ -73,6 +73,61 @@ validTapRange(std::size_t in, std::size_t out, std::size_t tap,
     return {lo, hi};
 }
 
+/**
+ * Where the valid cells of a flat conv grid (image pitch iplane, row
+ * pitch gw) land: cell (img, i, j) with i < rows and j < cols of tile
+ * row r goes to out[img * imagePitch + r * channelPitch +
+ * i * rowPitch + j * colStride].
+ */
+struct GridStore
+{
+    std::size_t iplane, gw, rows, cols;
+    float* out;
+    std::size_t imagePitch, channelPitch, rowPitch, colStride;
+};
+
+/**
+ * Conv epilogue: store rows [r0, r0 + count) of a convTile tile whose
+ * column 0 is grid column g0 (columns up to g_end) through @p map,
+ * adding add[r] to row r, or @p fill when @p add is null.
+ */
+void
+storeTile(const float* tile, std::size_t g0, std::size_t g_end,
+          const GridStore& map, std::size_t r0, std::size_t count,
+          const float* add, float fill)
+{
+    for (std::size_t g = g0; g < g_end;) {
+        const std::size_t img = g / map.iplane;
+        const std::size_t i = g % map.iplane / map.gw;
+        const std::size_t j = g % map.iplane % map.gw;
+        if (i >= map.rows) {
+            g = (img + 1) * map.iplane;
+            continue;
+        }
+        if (j >= map.cols) {
+            g += map.gw - j;
+            continue;
+        }
+        const std::size_t len = std::min(map.cols - j, g_end - g);
+        float* dst = map.out + img * map.imagePitch + r0 * map.channelPitch +
+                     i * map.rowPitch + j * map.colStride;
+        const float* src = tile + (g - g0);
+        for (std::size_t r = 0; r < count; ++r) {
+            float* drow = dst + r * map.channelPitch;
+            const float* srow = src + r * kernels::kConvTileCols;
+            const float b = add != nullptr ? add[r0 + r] : fill;
+            if (map.colStride == 1) {
+                for (std::size_t t = 0; t < len; ++t)
+                    drow[t] = srow[t] + b;
+            } else {
+                for (std::size_t t = 0; t < len; ++t)
+                    drow[t * map.colStride] = srow[t] + b;
+            }
+        }
+        g += len;
+    }
+}
+
 } // namespace
 
 Tensor
@@ -214,57 +269,6 @@ im2colInto(const Tensor& input, std::size_t kernel, std::size_t stride,
 }
 
 Tensor
-col2im(const Tensor& cols, std::size_t c, std::size_t h, std::size_t w,
-       std::size_t kernel, std::size_t stride, std::size_t pad)
-{
-    require(cols.rank() == 3, "col2im: rank-3 columns required");
-    const std::size_t n = cols.dim(1);
-    const std::size_t oh = convOutSize(h, kernel, stride, pad);
-    const std::size_t ow = convOutSize(w, kernel, stride, pad);
-    const std::size_t plane = oh * ow;
-    require(cols.dim(0) == c * kernel * kernel && cols.dim(2) == plane,
-            "col2im: column shape mismatch");
-
-    Tensor img({n, c, h, w});
-    const float* pc = cols.data();
-    float* pi = img.data();
-    // Scatter-adds from one (image, channel) pair land only in that
-    // pair's plane, so pairs are independent; each pixel accumulates
-    // its taps in (ky, kx, oy, ox) order.
-    parallelFor(n * c, parallelGrain(kernel * kernel * plane),
-                [&](std::size_t p0, std::size_t p1) {
-        for (std::size_t p = p0; p < p1; ++p) {
-            const std::size_t im = p / c;
-            const std::size_t ch = p % c;
-            float* dst = pi + p * h * w;
-            for (std::size_t ky = 0; ky < kernel; ++ky) {
-                for (std::size_t kx = 0; kx < kernel; ++kx) {
-                    const std::size_t row = (ch * kernel + ky) * kernel + kx;
-                    const float* src = pc + (row * n + im) * plane;
-                    const auto [lo, hi] =
-                        validTapRange(w, ow, kx, stride, pad);
-                    if (lo == hi)
-                        continue;
-                    for (std::size_t oy = 0; oy < oh; ++oy) {
-                        const long iy = static_cast<long>(oy * stride + ky) -
-                                        static_cast<long>(pad);
-                        if (iy < 0 || iy >= static_cast<long>(h))
-                            continue;
-                        float* drow = dst +
-                                      static_cast<std::size_t>(iy) * w +
-                                      (lo * stride + kx - pad);
-                        const float* srow = src + oy * ow + lo;
-                        for (std::size_t t = 0; t < hi - lo; ++t)
-                            drow[t * stride] += srow[t];
-                    }
-                }
-            }
-        }
-    });
-    return img;
-}
-
-Tensor
 conv2dForward(const Tensor& x, const Tensor& w, const Tensor* bias,
               std::size_t kernel, std::size_t stride, std::size_t pad,
               ConvWorkspace& ws)
@@ -281,9 +285,14 @@ conv2dForward(const Tensor& x, const Tensor& w, const Tensor* bias,
     const std::size_t oh = convOutSize(h, kernel, stride, pad);
     const std::size_t ow = convOutSize(wd, kernel, stride, pad);
     const std::size_t oplane = oh * ow;
+    const std::array<std::size_t, 7> geometry = {n, c, h, wd, kernel,
+                                                 stride, pad};
     Tensor y({n, m, oh, ow});
-    if (y.empty())
+    if (y.empty()) {
+        // conv2dBackward reads the shape from here.
+        ws.geometry = geometry;
         return y;
+    }
 
     // Phase plane (py, px) holds padded pixel (i*s + py, j*s + px) at
     // (i, j), so output (oy, ox) reads tap (ky, kx) at phase
@@ -309,6 +318,8 @@ conv2dForward(const Tensor& x, const Tensor& w, const Tensor* bias,
     const std::size_t gh = pitch(h, oh);
     const std::size_t gw = pitch(wd, ow);
     const std::size_t iplane = gh * gw;
+    ws.gridPitch = gw;
+    ws.gridPlane = iplane;
     // One zero image after each phase plane's batch takes the wrap of
     // its last image.
     const std::size_t phase_stride = (n + 1) * iplane;
@@ -334,8 +345,6 @@ conv2dForward(const Tensor& x, const Tensor& w, const Tensor* bias,
     // widest tap reads (only into discarded columns).
     // Pixels land on the same slots while the geometry stays the same,
     // so the zeros are written only when it changes.
-    const std::array<std::size_t, 7> geometry = {n, c, h, wd, kernel,
-                                                 stride, pad};
     if (geometry != ws.geometry) {
         ws.geometry = geometry;
         ws.input.assign(std::max(c * ch_stride, tiles * nr + max_tap), 0.0f);
@@ -378,7 +387,8 @@ conv2dForward(const Tensor& x, const Tensor& w, const Tensor* bias,
         for (std::size_t kk = 0; kk < k; ++kk)
             ws.panel[((r / mr) * k + kk) * mr + r % mr] = w(r, kk);
 
-    float* py_out = y.data();
+    const GridStore out = {iplane, gw, oh, ow, y.data(), m * oplane,
+                           oplane, ow, 1};
     const float* pb = bias != nullptr ? bias->data() : nullptr;
     const kernels::KernelTable& kt = kernels::kernels();
     kernels::KernelRegion kr(kernels::KernelId::GemmAxpy,
@@ -393,36 +403,11 @@ conv2dForward(const Tensor& x, const Tensor& w, const Tensor* bias,
             const std::size_t g0 = (t / blocks) * nr;
             const std::size_t r0 = (t % blocks) * mr;
             kt.convTile({ws.panel.data() + (r0 / mr) * k * mr, pp + g0,
-                         ws.taps.data(), k, tile});
-            // Epilogue: each valid run of one output row goes to y.
-            const std::size_t rows = std::min(mr, m - r0);
-            const std::size_t g_end = std::min(grid, g0 + nr);
-            for (std::size_t g = g0; g < g_end;) {
-                const std::size_t img = g / iplane;
-                const std::size_t oy = g % iplane / gw;
-                const std::size_t ox = g % iplane % gw;
-                if (oy >= oh) {
-                    g = (img + 1) * iplane;
-                    continue;
-                }
-                if (ox >= ow) {
-                    g += gw - ox;
-                    continue;
-                }
-                const std::size_t len = std::min(ow - ox, g_end - g);
-                float* dst = py_out + (img * m + r0) * oplane + oy * ow + ox;
-                const float* src = tile + (g - g0);
-                // Adding -0 is exact for every float, so the no-bias
-                // path shares the loop (and avoids short memcpys).
-                for (std::size_t i = 0; i < rows; ++i) {
-                    float* drow = dst + i * oplane;
-                    const float* srow = src + i * nr;
-                    const float b = pb != nullptr ? pb[r0 + i] : -0.0f;
-                    for (std::size_t j = 0; j < len; ++j)
-                        drow[j] = srow[j] + b;
-                }
-                g += len;
-            }
+                         ws.taps.data(), k, k, tile});
+            // Adding -0 is exact for every float, so the no-bias path
+            // shares the bias add (and avoids short memcpys).
+            storeTile(tile, g0, std::min(grid, g0 + nr), out, r0,
+                      std::min(mr, m - r0), pb, -0.0f);
         }
     });
     if (pb != nullptr)
@@ -432,6 +417,219 @@ conv2dForward(const Tensor& x, const Tensor& w, const Tensor* bias,
             kernels::KernelId::AddScalar,
             static_cast<std::int64_t>(m * n * oplane));
     return y;
+}
+
+Tensor
+conv2dBackward(const Tensor& dy, const Tensor& w, ConvWorkspace& ws,
+               Tensor& dw)
+{
+    const std::size_t n = ws.geometry[0], c = ws.geometry[1];
+    const std::size_t h = ws.geometry[2], wd = ws.geometry[3];
+    const std::size_t kernel = ws.geometry[4], stride = ws.geometry[5];
+    const std::size_t pad = ws.geometry[6];
+    require(c != 0, "conv2dBackward: the workspace holds no forward pass");
+    const std::size_t k = c * kernel * kernel;
+    require(w.rank() == 2 && w.dim(1) == k, "conv2dBackward: weight shape ",
+            w.shapeString(), " does not match ", c, " channels of ", kernel,
+            "x", kernel);
+    const std::size_t m = w.dim(0);
+    const std::size_t oh = convOutSize(h, kernel, stride, pad);
+    const std::size_t ow = convOutSize(wd, kernel, stride, pad);
+    require(dy.rank() == 4 && dy.dim(0) == n && dy.dim(1) == m &&
+                dy.dim(2) == oh && dy.dim(3) == ow,
+            "conv2dBackward: gradient ", dy.shapeString(),
+            " does not match the forward input [", n, ", ", c, ", ", h, ", ",
+            wd, "]");
+    if (dw.rank() != 2 || dw.dim(0) != m || dw.dim(1) != k)
+        dw = Tensor({m, k});
+    // Zero-filled: the pixels of phases that no tap reaches stay +0.
+    Tensor dx({n, c, h, wd});
+    if (dy.empty()) {
+        dw.zero();
+        return dx;
+    }
+    constexpr std::size_t mr = kernels::kConvTileRows;
+    constexpr std::size_t nr = kernels::kConvTileCols;
+    constexpr std::size_t gr = kernels::kConvGradTileRows;
+    constexpr std::size_t gt = kernels::kConvGradTileTaps;
+    const std::size_t plane = oh * ow;
+
+    // Phase r of one axis holds the dX positions a * s + r - pad for a
+    // in [lo, hi); it takes the taps r + j * s, j < taps, and position
+    // a reads dY at a - j.  Only r < min(s, kernel) has taps.
+    const std::size_t span = std::min(stride, kernel);
+    const auto axis = [&](std::size_t in, std::size_t r) {
+        const auto [lo, hi] = validTapRange(in, in + pad, r, stride, pad);
+        return std::array<std::size_t, 3>{lo, hi,
+                                          (kernel - 1 - r) / stride + 1};
+    };
+    // dY sits at (lead_y, lead_x) in a grid of pitch gw and gh rows, so
+    // every read a - j >= -lead lands in it.  As in the forward, a read
+    // past the pitch wraps into the next row's (or image's) leading
+    // zeros: that needs gw and gh to cover every phase's hi.
+    std::size_t lead_y = 0, lead_x = 0, gh = 0, gw = 0;
+    for (std::size_t r = 0; r < span; ++r) {
+        const auto ay = axis(h, r), ax = axis(wd, r);
+        lead_y = std::max(lead_y, ay[2] - 1 - std::min(ay[2] - 1, ay[0]));
+        lead_x = std::max(lead_x, ax[2] - 1 - std::min(ax[2] - 1, ax[0]));
+        gh = std::max(gh, ay[1]);
+        gw = std::max(gw, ax[1]);
+    }
+    gh = std::max(gh, lead_y + oh);
+    gw = std::max(gw, lead_x + ow);
+    const std::size_t iplane = gh * gw;
+    // One zero image after each channel's batch takes the last image's
+    // wrap.
+    const std::size_t cstride = (n + 1) * iplane;
+
+    // Chain of phase (ry, rx): taps in ascending (ky, kx), each one
+    // segment of outC rows in ascending c.
+    const std::size_t blocks = kernels::ceilDiv(c, mr);
+    ws.phases.clear();
+    ws.gradTaps.clear();
+    std::size_t items = 0;
+    std::size_t reach = m * cstride;
+    for (std::size_t ry = 0; ry < span; ++ry)
+        for (std::size_t rx = 0; rx < span; ++rx) {
+            const auto ay = axis(h, ry), ax = axis(wd, rx);
+            if (ay[0] == ay[1] || ax[0] == ax[1])
+                continue;
+            ConvWorkspace::Phase ph{};
+            ph.ry = ry;
+            ph.rx = rx;
+            ph.y0 = ay[0];
+            ph.x0 = ax[0];
+            ph.rows = ay[1] - ay[0];
+            ph.cols = ax[1] - ax[0];
+            ph.chain = ay[2] * ax[2] * m;
+            ph.tap0 = ws.gradTaps.size();
+            std::size_t max_tap = 0;
+            for (std::size_t j = 0; j < ay[2]; ++j)
+                for (std::size_t jx = 0; jx < ax[2]; ++jx)
+                    for (std::size_t o = 0; o < m; ++o) {
+                        const std::size_t tap =
+                            o * cstride + (ph.y0 + lead_y - j) * gw +
+                            (ph.x0 + lead_x - jx);
+                        ws.gradTaps.push_back(tap);
+                        max_tap = std::max(max_tap, tap);
+                    }
+            ph.grid = (n - 1) * iplane + (ph.rows - 1) * gw + ph.cols;
+            const std::size_t tiles = kernels::ceilDiv(ph.grid, nr);
+            ph.item0 = items;
+            items += tiles * blocks;
+            reach = std::max(reach, tiles * nr + max_tap);
+            ws.phases.push_back(ph);
+        }
+
+    // Rotated weights packed [phase][row block][chain][kConvTileRows]:
+    // chain entry (j, jx, o) of row ch is w(o, (ch, ky, kx)).
+    ws.panel.assign(blocks * mr * ws.gradTaps.size(), 0.0f);
+    for (const ConvWorkspace::Phase& ph : ws.phases) {
+        const std::size_t taps_x = (kernel - 1 - ph.rx) / stride + 1;
+        for (std::size_t ch = 0; ch < c; ++ch)
+            for (std::size_t kk = 0; kk < ph.chain; ++kk) {
+                const std::size_t tap = kk / m, o = kk % m;
+                const std::size_t ky = ph.ry + tap / taps_x * stride;
+                const std::size_t kx = ph.rx + tap % taps_x * stride;
+                ws.panel[((ph.tap0 * blocks + ch / mr * ph.chain) + kk) * mr +
+                         ch % mr] = w(o, (ch * kernel + ky) * kernel + kx);
+            }
+    }
+
+    // dY into both layouts.  Values land on the same slots while the
+    // geometry is the same, so the zeros are written only when it
+    // changes.
+    const std::size_t ldc = kernels::ceilDiv(m, gr) * gr;
+    const std::array<std::size_t, 8> grad_geometry = {
+        n, c, h, wd, kernel, stride, pad, m};
+    if (grad_geometry != ws.gradGeometry) {
+        ws.gradGeometry = grad_geometry;
+        ws.grad.assign(reach, 0.0f);
+        ws.gradRows.assign(n * plane * ldc, 0.0f);
+    }
+    const float* pdy = dy.data();
+    float* pgrad = ws.grad.data();
+    float* prows = ws.gradRows.data();
+    parallelFor(n, parallelGrain(2 * m * plane),
+                [&](std::size_t i0, std::size_t i1) {
+        for (std::size_t img = i0; img < i1; ++img)
+            for (std::size_t o = 0; o < m; ++o) {
+                const float* src = pdy + (img * m + o) * plane;
+                float* padded = pgrad + o * cstride + img * iplane +
+                                lead_y * gw + lead_x;
+                float* rows = prows + img * plane * ldc + o;
+                for (std::size_t oy = 0; oy < oh; ++oy)
+                    for (std::size_t ox = 0; ox < ow; ++ox) {
+                        const float v = src[oy * ow + ox];
+                        padded[oy * gw + ox] = v;
+                        rows[(oy * ow + ox) * ldc] = v;
+                    }
+            }
+    });
+
+    const kernels::KernelTable& kt = kernels::kernels();
+    {
+        // Counted as the [K, outC] x [outC, N*OH*OW] product it is.
+        kernels::KernelRegion kr(
+            kernels::KernelId::GemmAxpy,
+            static_cast<std::int64_t>(k * m * n * plane));
+        float* pdx = dx.data();
+        const std::size_t taps_max = kernels::ceilDiv(kernel, stride);
+        parallelFor(items, parallelGrain(mr * nr * m * taps_max * taps_max),
+                    [&](std::size_t t0, std::size_t t1) {
+            alignas(64) float tile[mr * nr];
+            std::size_t p = 0;
+            for (std::size_t t = t0; t < t1; ++t) {
+                while (p + 1 < ws.phases.size() && ws.phases[p + 1].item0 <= t)
+                    ++p;
+                const ConvWorkspace::Phase& ph = ws.phases[p];
+                const std::size_t g0 = (t - ph.item0) / blocks * nr;
+                const std::size_t b = (t - ph.item0) % blocks;
+                kt.convTile({ws.panel.data() +
+                                 (ph.tap0 * blocks + b * ph.chain) * mr,
+                             pgrad + g0, ws.gradTaps.data() + ph.tap0,
+                             ph.chain, m, tile});
+                // Adding +0 gives the sum col2im's zeroed pixel gave:
+                // it differs from the bare sum only when that is -0.
+                const GridStore out = {
+                    iplane, gw, ph.rows, ph.cols,
+                    pdx + (ph.y0 * stride + ph.ry - pad) * wd +
+                        (ph.x0 * stride + ph.rx - pad),
+                    c * h * wd, h * wd, stride * wd, stride};
+                storeTile(tile, g0, std::min(ph.grid, g0 + nr), out, b * mr,
+                          std::min(mr, c - b * mr), nullptr, 0.0f);
+            }
+        });
+    }
+
+    // dW tiles of gr channels by gt taps read the forward's grid: tap
+    // r of output (oy, ox) is at taps[r] + oy * pitch + ox.
+    ws.gradPos.resize(plane);
+    for (std::size_t oy = 0; oy < oh; ++oy)
+        for (std::size_t ox = 0; ox < ow; ++ox)
+            ws.gradPos[oy * ow + ox] = oy * ws.gridPitch + ox;
+    kernels::KernelRegion kr(kernels::KernelId::GemmDot,
+                             static_cast<std::int64_t>(n * m * k * plane));
+    const std::size_t tap_blocks = kernels::ceilDiv(k, gt);
+    parallelFor(ldc / gr * tap_blocks, parallelGrain(gr * gt * n * plane),
+                [&](std::size_t t0, std::size_t t1) {
+        alignas(64) float tile[gr * gt];
+        for (std::size_t t = t0; t < t1; ++t) {
+            const std::size_t c0 = t / tap_blocks * gr;
+            const std::size_t r0 = t % tap_blocks * gt;
+            // A partial last block repeats its last tap.
+            std::size_t taps[gt];
+            for (std::size_t q = 0; q < gt; ++q)
+                taps[q] = ws.taps[std::min(r0 + q, k - 1)];
+            kt.convGradTile({prows + c0, ldc, ws.input.data(),
+                             ws.gridPlane, ws.gradPos.data(), plane, taps,
+                             n, tile});
+            for (std::size_t q = 0; q < std::min(gt, k - r0); ++q)
+                for (std::size_t i = 0; i < std::min(gr, m - c0); ++i)
+                    dw(c0 + i, r0 + q) = tile[q * gr + i];
+        }
+    });
+    return dx;
 }
 
 } // namespace mrq

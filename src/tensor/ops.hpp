@@ -7,9 +7,10 @@
  * output rows (or row x column-block tiles), column rows or
  * (image, channel) planes with thread-count-independent chunk
  * boundaries, so results are bit-identical at any MRQ_THREADS
- * setting.  conv2dForward is the Conv2d forward pass (an implicit
- * GEMM); im2col / col2im implement the channel-major column lowering
- * its backward pass uses.
+ * setting.  conv2dForward and conv2dBackward are the Conv2d passes:
+ * implicit GEMMs over zero-padded copies of the input and of dY, with
+ * no column buffers.  im2col is the explicit column lowering the
+ * hardware simulator reads.
  */
 
 #ifndef MRQ_TENSOR_OPS_HPP
@@ -47,8 +48,8 @@ Tensor transpose2d(const Tensor& a);
  * Row r = (ch, ky, kx) holds, image after image, the input value each
  * output position reads through that tap (zero where it falls in the
  * padding).  Viewed as [c*kernel*kernel, n*out_h*out_w], the columns
- * are the B operand of a whole batch's conv as one matmul (Conv2d's
- * backward pass and the hw simulator read them).
+ * are the B operand of a whole batch's conv as one matmul (the hw
+ * simulator reads them).
  *
  * @param input  Shape [n, c, h, w].
  * @param kernel Kernel size (square).
@@ -64,24 +65,37 @@ Tensor im2col(const Tensor& input, std::size_t kernel, std::size_t stride,
 void im2colInto(const Tensor& input, std::size_t kernel, std::size_t stride,
                 std::size_t pad, Tensor& cols);
 
-/**
- * Inverse of im2col: scatter-add columns back into an NCHW gradient.
- *
- * @param cols Shape [c*kernel*kernel, n, out_h*out_w] (im2col's layout).
- * @param c,h,w Original spatial geometry.
- */
-Tensor col2im(const Tensor& cols, std::size_t c, std::size_t h,
-              std::size_t w, std::size_t kernel, std::size_t stride,
-              std::size_t pad);
-
-/** Per-layer buffers of conv2dForward, reused across calls so a
- *  steady-state forward allocates only its output. */
+/** Per-layer buffers of conv2dForward and conv2dBackward, reused
+ *  across calls so a steady-state pass allocates only its outputs. */
 struct ConvWorkspace
 {
-    std::array<std::size_t, 7> geometry{}; ///< Shape input was zeroed for.
+    /** One dX phase of conv2dBackward: the dX pixels
+     *  ((y0 + i) * s + ry - pad, (x0 + j) * s + rx - pad), i < rows and
+     *  j < cols, and their chain of taps times outC. */
+    struct Phase
+    {
+        std::size_t ry, rx, y0, x0, rows, cols;
+        std::size_t chain;  ///< Chain length: taps * outC.
+        std::size_t tap0;   ///< First entry in gradTaps.
+        std::size_t grid;   ///< Flat grid columns (valid and discarded).
+        std::size_t item0;  ///< First work item.
+    };
+
+    /** [n, c, h, w, kernel, stride, pad] of the last forward. */
+    std::array<std::size_t, 7> geometry{};
+    std::size_t gridPitch = 0;     ///< Row pitch of the input grid.
+    std::size_t gridPlane = 0;     ///< Image pitch of the input grid.
     std::vector<float> input;      ///< Zero-padded phase planes of x.
     std::vector<float> panel;      ///< Weights packed per row block.
     std::vector<std::size_t> taps; ///< B-row offset of each tap.
+
+    /** geometry plus outC, for the dY buffers. */
+    std::array<std::size_t, 8> gradGeometry{};
+    std::vector<float> grad;           ///< Zero-padded planes of dY.
+    std::vector<float> gradRows;       ///< dY channel-minor, [N][OH*OW][ldc].
+    std::vector<std::size_t> gradTaps; ///< dX B-row offsets, phase by phase.
+    std::vector<std::size_t> gradPos;  ///< Input-grid offset of each output.
+    std::vector<Phase> phases;         ///< dX phases that hold pixels.
 };
 
 /**
@@ -106,6 +120,33 @@ struct ConvWorkspace
 Tensor conv2dForward(const Tensor& x, const Tensor& w, const Tensor* bias,
                      std::size_t kernel, std::size_t stride,
                      std::size_t pad, ConvWorkspace& ws);
+
+/**
+ * Gradients of the last conv2dForward run with @p ws, as one implicit
+ * GEMM for dX and one register-blocked kernel for dW.
+ *
+ * dX: dY is copied once into @p ws as zero-padded planes,
+ * channel-major.  dX pixel iy takes tap ky from dY row oy when
+ * iy + pad = oy * stride + ky, so dX splits into stride x stride
+ * phases by ((iy + pad) % stride, (ix + pad) % stride); each phase is
+ * a stride-1 implicit GEMM of its own (rotated) taps over padded dY,
+ * run by KernelTable::convTile with one segment of outC rows per tap.
+ * Every dX pixel is +0 plus its per-tap sums in ascending (ky, kx)
+ * order, each sum an ascending-c fma chain from +0 with zero weights
+ * skipped: the bits of col2im(matmulTransA(w, dY)).  Pixels of a
+ * phase no tap reaches stay +0.
+ *
+ * dW: KernelTable::convGradTile reads dY channel-minor and the input
+ * straight from the forward's padded grid in @p ws; each dW[c, k] is
+ * +0 plus one dot()-ordered dot per image, folded in image order.
+ *
+ * @param dy Shape [n, out_c, out_h, out_w] of that forward.
+ * @param w  The forward's weights, [out_c, c * kernel * kernel].
+ * @param dw Receives dL/dw (reshaped to w's shape if needed).
+ * @return dL/dx, the forward input's shape.
+ */
+Tensor conv2dBackward(const Tensor& dy, const Tensor& w, ConvWorkspace& ws,
+                      Tensor& dw);
 
 /** Output spatial size for a conv/pool sweep. */
 inline std::size_t

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <string>
 
 #include "core/fake_quant.hpp"
 #include "core/uniform_quant.hpp"
@@ -213,6 +214,48 @@ TEST(Deployment, LoadSurvivesEveryCorruptedHeaderWord)
     // The word that used to divide by zero: the group size (offset 8,
     // after magic and bits).
     EXPECT_FALSE(load_mutant(8, 0u));
+    std::remove(path.c_str());
+}
+
+TEST(Deployment, LoadRejectsAnExponentFieldOutsideTheFormat)
+{
+    // A term byte of 0xFF carries exponent field 127, past the 3-bit
+    // format: load must refuse it with a diagnostic instead of handing
+    // decode an int64 shift by 127.
+    Rng rng(8);
+    auto model = smallCnn(rng);
+    const auto image = DeploymentImage::build(*model, 5, 16, kLadder);
+    const LayerImage& layer = image.layers()[0];
+    ASSERT_FALSE(layer.groups[0].packedTerms().empty());
+    const std::string path = ::testing::TempDir() + "mrq_hostile.bin";
+    image.save(path);
+    std::vector<char> bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    // Magic, bits, group size, rung count, the rungs and the layer
+    // count; the name and its length; rows, row length, scale and
+    // group count; then group 0's size and term-byte count.
+    const std::size_t offset = 4 * (4 + kLadder.size() + 1) + 4 +
+                               layer.name.size() + 4 * 4 + 4 + 4;
+    ASSERT_LT(offset, bytes.size());
+    ASSERT_EQ(static_cast<std::uint8_t>(bytes[offset]),
+              layer.groups[0].packedTerms()[0]);
+    bytes[offset] = static_cast<char>(0xFF);
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    try {
+        (void)DeploymentImage::load(path);
+        ADD_FAILURE() << "a 0xFF term byte loaded";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find("exponent field 127"),
+                  std::string::npos)
+            << e.what();
+    }
     std::remove(path.c_str());
 }
 

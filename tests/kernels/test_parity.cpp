@@ -714,6 +714,189 @@ TEST_F(ParityTest, Conv2dImplicitGemmEdgeShapesAcrossIsaAndThreads)
     ThreadPool::instance().resize(saved_threads);
 }
 
+/** Random operands of one ConvCase: a quarter of the weights are
+ *  exact zeros. */
+struct ConvOperands
+{
+    Tensor x, w, bias, dy;
+};
+
+ConvOperands
+randomOperands(const ConvCase& cc, Rng& rng)
+{
+    const std::size_t kdim = cc.in_c * cc.kernel * cc.kernel;
+    const std::size_t oh = convOutSize(cc.h, cc.kernel, cc.stride, cc.pad);
+    const std::size_t ow = convOutSize(cc.w, cc.kernel, cc.stride, cc.pad);
+    ConvOperands ops{Tensor({cc.n, cc.in_c, cc.h, cc.w}),
+                     Tensor({cc.out_c, kdim}), Tensor({cc.out_c}),
+                     Tensor({cc.n, cc.out_c, oh, ow})};
+    for (Tensor* t : {&ops.x, &ops.bias, &ops.dy})
+        for (std::size_t i = 0; i < t->size(); ++i)
+            (*t)[i] = static_cast<float>(rng.normal());
+    for (std::size_t i = 0; i < ops.w.size(); ++i)
+        ops.w[i] = rng.bernoulli(0.25) ? 0.0f
+                                       : static_cast<float>(rng.normal());
+    return ops;
+}
+
+std::string
+caseTag(const ConvCase& cc)
+{
+    return "n=" + std::to_string(cc.n) + " c=" + std::to_string(cc.in_c) +
+           "->" + std::to_string(cc.out_c) + " " + std::to_string(cc.h) +
+           "x" + std::to_string(cc.w) + " k=" + std::to_string(cc.kernel) +
+           " s=" + std::to_string(cc.stride) + " p=" + std::to_string(cc.pad);
+}
+
+TEST_F(ParityTest, Conv2dBackwardEdgeCasesAcrossIsaAndThreads)
+{
+    // The transposed implicit GEMM behind dX and the tiled dW kernel,
+    // byte-compared with the per-image lowering (a naive col2im over
+    // matmulTransA columns, per-image matmulTransB for dW).
+    const std::size_t saved_threads = ThreadPool::instance().threadCount();
+    const auto check_all = [&](const ConvCase& cc, const ConvOperands& ops,
+                               const std::string& tag, bool finite_grads) {
+        kernels::setActiveIsa(Isa::Generic);
+        ThreadPool::instance().resize(1);
+        const ConvRun want =
+            perImageConv(ops.x, ops.w, cc.bias ? &ops.bias : nullptr, ops.dy,
+                         cc.kernel, cc.stride, cc.pad);
+        for (float v : want.dx)
+            ASSERT_TRUE(std::isfinite(v)) << tag;
+        for (Isa isa : compiledIsas()) {
+            kernels::setActiveIsa(isa);
+            for (std::size_t threads : {1u, 2u, 4u}) {
+                ThreadPool::instance().resize(threads);
+                const ConvRun got = layerConv(cc, ops.x, ops.w, ops.bias,
+                                              ops.dy);
+                const std::string where =
+                    tag + " isa=" + kernels::isaName(isa) +
+                    " threads=" + std::to_string(threads);
+                EXPECT_TRUE(bitEqual(want.y, got.y)) << "forward " << where;
+                EXPECT_TRUE(bitEqual(want.dx, got.dx)) << "dX " << where;
+                EXPECT_TRUE(finite_grads ? bitEqual(want.dw, got.dw)
+                                         : sameFiniteBits(want.dw, got.dw))
+                    << "dW " << where;
+                EXPECT_TRUE(finite_grads
+                                ? bitEqual(want.dbias, got.dbias)
+                                : sameFiniteBits(want.dbias, got.dbias))
+                    << "dBias " << where;
+            }
+        }
+    };
+
+    // Geometries the phase split must get right: kernels up to 5,
+    // strides up to 3 (phases with no tap when the stride exceeds the
+    // kernel), pads up to 2 (pad >= kernel included).
+    Rng rng(116);
+    for (int drawn = 0; drawn < 24;) {
+        ConvCase cc{};
+        cc.n = 1 + rng.uniformInt(3);
+        cc.in_c = 1 + rng.uniformInt(5);
+        cc.out_c = 1 + rng.uniformInt(6);
+        cc.h = 1 + rng.uniformInt(9);
+        cc.w = 1 + rng.uniformInt(9);
+        cc.kernel = 1 + rng.uniformInt(5);
+        cc.stride = 1 + rng.uniformInt(3);
+        cc.pad = rng.uniformInt(3);
+        cc.bias = rng.bernoulli(0.5);
+        if (cc.h + 2 * cc.pad < cc.kernel || cc.w + 2 * cc.pad < cc.kernel)
+            continue;
+        ++drawn;
+        check_all(cc, randomOperands(cc, rng), caseTag(cc), true);
+    }
+
+    // NaN and +-Inf in the dY of an output channel whose weights are
+    // all zero: dX reads them only through skipped fmas and stays
+    // finite; dW and the bias gradient do read them.
+    for (const ConvCase& cc : {ConvCase{3, 4, 5, 7, 7, 3, 1, 1, true},
+                               ConvCase{2, 3, 6, 9, 8, 3, 2, 1, true},
+                               ConvCase{2, 5, 4, 6, 6, 1, 2, 0, true}}) {
+        ConvOperands ops = randomOperands(cc, rng);
+        const float bad[] = {std::nanf(""), INFINITY, -INFINITY};
+        const std::size_t plane = ops.dy.dim(2) * ops.dy.dim(3);
+        for (std::size_t img = 0; img < cc.n; ++img)
+            for (std::size_t i = 0; i < plane; ++i)
+                ops.dy[(img * cc.out_c + 1) * plane + i] = bad[i % 3];
+        for (std::size_t k = 0; k < ops.w.dim(1); ++k)
+            ops.w(1, k) = 0.0f;
+        check_all(cc, ops, caseTag(cc) + " (non-finite dY)", false);
+    }
+
+    // 1x1 stride 2: the odd rows and columns (even ones at pad 1) are
+    // a phase no tap reaches, so those dX pixels are exactly +0.
+    for (const ConvCase& cc : {ConvCase{2, 3, 4, 7, 8, 1, 2, 0, false},
+                               ConvCase{2, 3, 4, 7, 8, 1, 2, 1, true}}) {
+        const ConvOperands ops = randomOperands(cc, rng);
+        check_all(cc, ops, caseTag(cc), true);
+        const ConvRun got = layerConv(cc, ops.x, ops.w, ops.bias, ops.dy);
+        const float plus_zero = 0.0f;
+        for (std::size_t i = 0; i < got.dx.size(); ++i) {
+            const std::size_t ix = i % cc.w, iy = i / cc.w % cc.h;
+            if ((iy + cc.pad) % 2 == 0 && (ix + cc.pad) % 2 == 0)
+                continue;
+            EXPECT_EQ(std::memcmp(&got.dx[i], &plus_zero, sizeof(float)), 0)
+                << caseTag(cc) << " dX pixel " << i;
+        }
+    }
+
+    // One layer through batch 50, 100, 50, then a larger and the first
+    // image size again: its workspaces are resized on every geometry
+    // change, and the padding of a smaller geometry is never read
+    // stale from a larger one.
+    {
+        std::vector<ConvCase> runs;
+        for (std::size_t n : {50u, 100u, 50u})
+            runs.push_back({n, 3, 5, 7, 6, 3, 2, 1, true});
+        runs.push_back({50, 3, 5, 11, 9, 3, 2, 1, true});
+        runs.push_back(runs.front());
+        std::vector<ConvOperands> ops;
+        std::vector<ConvRun> want;
+        kernels::setActiveIsa(Isa::Generic);
+        ThreadPool::instance().resize(1);
+        for (const ConvCase& cc : runs) {
+            ops.push_back(randomOperands(cc, rng));
+            want.push_back(perImageConv(ops.back().x, ops.back().w,
+                                        &ops.back().bias, ops.back().dy,
+                                        cc.kernel, cc.stride, cc.pad));
+        }
+        for (Isa isa : compiledIsas()) {
+            kernels::setActiveIsa(isa);
+            for (std::size_t threads : {1u, 2u, 4u}) {
+                ThreadPool::instance().resize(threads);
+                Rng init(1);
+                Conv2d conv(3, 5, 3, 2, 1, init, true);
+                std::vector<Parameter*> params;
+                conv.collectParameters(params);
+                for (std::size_t i = 0; i < runs.size(); ++i) {
+                    conv.weight().value = ops[i].w;
+                    params[1]->value = ops[i].bias;
+                    conv.weight().resetGrad();
+                    params[1]->resetGrad();
+                    ConvRun got;
+                    got.y = flatOf(conv.forward(ops[i].x));
+                    got.dx = flatOf(conv.backward(ops[i].dy));
+                    got.dw = flatOf(conv.weight().grad);
+                    got.dbias = flatOf(params[1]->grad);
+                    const std::string where =
+                        caseTag(runs[i]) + " run " + std::to_string(i) +
+                        " isa=" + kernels::isaName(isa) +
+                        " threads=" + std::to_string(threads);
+                    EXPECT_TRUE(bitEqual(want[i].y, got.y))
+                        << "forward " << where;
+                    EXPECT_TRUE(bitEqual(want[i].dx, got.dx))
+                        << "dX " << where;
+                    EXPECT_TRUE(bitEqual(want[i].dw, got.dw))
+                        << "dW " << where;
+                    EXPECT_TRUE(bitEqual(want[i].dbias, got.dbias))
+                        << "dBias " << where;
+                }
+            }
+        }
+    }
+    ThreadPool::instance().resize(saved_threads);
+}
+
 TEST_F(ParityTest, SetActiveIsaClampsAndDispatches)
 {
     // Requesting the generic table always succeeds and kernels()

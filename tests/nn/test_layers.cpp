@@ -15,6 +15,8 @@
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
 #include "nn/sequential.hpp"
+#include "obs/heap_profiler.hpp"
+#include "runtime/thread_pool.hpp"
 
 #include "gradcheck.hpp"
 
@@ -145,6 +147,58 @@ TEST(Conv2d, BackwardBeforeForwardFails)
                   std::string::npos)
             << e.what();
     }
+}
+
+TEST(Conv2d, SteadyStateStepAllocatesOnlyItsOutputs)
+{
+    // After one warm-up step, a forward and backward at the same shape
+    // allocate y, dX and the STE weight gradient (each one shape and
+    // one data buffer) and nothing else: the padded input, the padded
+    // and channel-minor dY, the packed weights and the raw dW live in
+    // the layer across steps.
+    if (!obs::heapInterpositionActive())
+        GTEST_SKIP() << "replacement operators not linked";
+    struct Geometry
+    {
+        std::size_t kernel, stride, pad, side;
+    };
+    const std::size_t saved_threads = ThreadPool::instance().threadCount();
+    for (std::size_t threads : {1u, 4u})
+        for (const Geometry& g : {Geometry{3, 1, 1, 12},
+                                  Geometry{3, 2, 1, 12},
+                                  Geometry{1, 2, 0, 6}}) {
+            ThreadPool::instance().resize(threads);
+            Rng rng(41);
+            Conv2d conv(8, 16, g.kernel, g.stride, g.pad, rng, true);
+            const Tensor x = randomTensor({6, 8, g.side, g.side}, rng);
+            const std::size_t out =
+                convOutSize(g.side, g.kernel, g.stride, g.pad);
+            const Tensor dy = randomTensor({6, 16, out, out}, rng);
+            conv.forward(x);
+            conv.backward(dy);
+
+            ASSERT_TRUE(obs::startHeapProfiler(std::int64_t{1} << 30));
+            obs::resetHeapProfile();
+            {
+                const Tensor y = conv.forward(x);
+                const Tensor dx = conv.backward(dy);
+            }
+            const obs::HeapStats stats = obs::heapStatsSnapshot();
+            obs::stopHeapProfiler();
+            obs::resetHeapProfile();
+            const std::size_t floats =
+                dy.size() + x.size() + conv.weight().value.size();
+            const std::string where =
+                "k=" + std::to_string(g.kernel) +
+                " s=" + std::to_string(g.stride) +
+                " threads=" + std::to_string(threads);
+            EXPECT_EQ(stats.allocCount, 6) << where;
+            EXPECT_LT(stats.allocBytes,
+                      static_cast<std::int64_t>(floats * sizeof(float) +
+                                                1024))
+                << where;
+        }
+    ThreadPool::instance().resize(saved_threads);
 }
 
 TEST(DepthwiseConv2d, PreservesChannelCount)
