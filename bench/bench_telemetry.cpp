@@ -1,12 +1,12 @@
 /**
  * @file
- * Telemetry-plane overhead bench: the cost contract of the live stats
- * plane (obs/stats_server.hpp).  Disabled, every instrumentation site
- * — KernelRegion, recordKernelElems, PerfScope — must cost a relaxed
- * load and a branch (single-digit ns); enabled, a fast sampler
- * snapshotting concurrently must tax a real workload by under 2%.
- * telemetry_tq_data gates the metrics tax of the hottest real
- * metrics site, TQ activation quantization, at under 3%.
+ * Telemetry overhead bench: the cost contract of the obs layer.
+ * Disabled, every instrumentation site — KernelRegion,
+ * recordKernelElems, the heap hook, an inert AllocGuard — must cost a
+ * relaxed load and a branch (single-digit ns); the always-on flight
+ * recorder and the heap profiler's sampling must tax a workload by
+ * under 2% and 3%.  telemetry_tq_data gates the metrics tax of the
+ * hottest real metrics site, TQ activation quantization, at under 3%.
  *
  * All numbers are wall-clock (timingValue), so the trajectory gate
  * checks only the deterministic pass/fail rows.  Overheads compare
@@ -24,9 +24,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/heap_profiler.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perf_counters.hpp"
-#include "obs/sampler.hpp"
-#include "obs/stats_server.hpp"
 #include "tensor/ops.hpp"
 
 namespace {
@@ -55,12 +52,13 @@ bestOfMs(int reps, Fn&& fn)
 } // namespace
 
 MRQ_BENCH(telemetry_overhead, "Obs layer",
-          "live stats plane cost: disabled sites / enabled sampler")
+          "obs layer cost: disabled sites / flight recorder / heap "
+          "profiler")
 {
     // -- Disabled instrumentation-site cost ---------------------------
     // The harness runs cases with metrics forced on; flip them off to
-    // measure the exact hot path a plain run (no MRQ_STATS_*, no
-    // MRQ_METRICS_OUT) executes at every site.
+    // measure the exact hot path a plain run (no MRQ_METRICS_OUT)
+    // executes at every site.
     constexpr int kSites = 200000;
     const bool prev_metrics = obs::setMetricsEnabled(false);
     const double region_ms = bestOfMs(5, [] {
@@ -74,27 +72,18 @@ MRQ_BENCH(telemetry_overhead, "Obs layer",
             kernels::recordKernelElems(kernels::KernelId::TermPairs,
                                        64);
     });
-    const double scope_ms = bestOfMs(5, [] {
-        for (int i = 0; i < kSites; ++i) {
-            obs::PerfScope perf("bench.telemetry_overhead");
-        }
-    });
     obs::setMetricsEnabled(prev_metrics);
 
     const double scale = 1e6 / kSites; // ms per batch -> ns per site.
     const double region_ns = region_ms * scale;
     const double elems_ns = elems_ms * scale;
-    const double scope_ns = scope_ms * scale;
     ctx.timingValue("disabled_kernel_region_ns", region_ns);
     ctx.timingValue("disabled_record_elems_ns", elems_ns);
-    ctx.timingValue("disabled_perf_scope_ns", scope_ns);
-    ctx.printf("  disabled site cost: region %.1fns, elems %.1fns, "
-               "perf scope %.1fns\n",
-               region_ns, elems_ns, scope_ns);
+    ctx.printf("  disabled site cost: region %.1fns, elems %.1fns\n",
+               region_ns, elems_ns);
     // ~1-2ns each in practice; 100ns still proves "effectively free"
     // while staying robust to a throttled CI core.
-    ctx.require(region_ns < 100.0 && elems_ns < 100.0 &&
-                    scope_ns < 100.0,
+    ctx.require(region_ns < 100.0 && elems_ns < 100.0,
                 "disabled telemetry sites cost ~0");
 
     // -- Flight-recorder cost -----------------------------------------
@@ -129,124 +118,8 @@ MRQ_BENCH(telemetry_overhead, "Obs layer",
                 "flight recorder steady-state tax under 2% at 10k "
                 "events/s");
 
-    // -- Enabled-plane tax --------------------------------------------
-    // The sampler's whole per-period cost is one collectStatsSnapshot
-    // (the poll() wakeup is noise), so its workload tax is bounded by
-    // snapshot_cost / period.  Measure the snapshot against the live
-    // registry — in a full suite run it holds every descriptor earlier
-    // cases registered, the worst realistic case — and gate the bound
-    // at MRQ_STATS_EVERY=100, ten times the default rate.
-    constexpr int kSnapshots = 50;
-    const double snap_total_ms = mrq::bench::wallTimeMs([] {
-        for (int i = 0; i < kSnapshots; ++i)
-            (void)obs::collectStatsSnapshot();
-    });
-    const double snap_ms = snap_total_ms / kSnapshots;
-    const double tax_100ms_pct = snap_ms / 100.0 * 100.0;
-    ctx.timingValue("snapshot_ms", snap_ms);
-    ctx.timingValue("sampler_tax_100ms_tick_pct", tax_100ms_pct);
-    ctx.printf("  snapshot cost %.3fms -> sampler tax %.3f%% at 100ms "
-               "ticks (%.4f%% at the 1s default)\n",
-               snap_ms, tax_100ms_pct, snap_ms / 1000.0 * 100.0);
-    ctx.require(tax_100ms_pct < 2.0,
-                "enabled sampler tax under 2% at 100ms ticks");
-
-    // End-to-end cross-check: the same instrumented workload with the
-    // plane absent vs a 10ms sampler hammering snapshots concurrently.
-    // Reported as timings only — min-of-reps wall-clock deltas at
-    // these durations are too scheduler-dependent for a hard gate.
-    Rng rng(321);
-    const std::size_t dim = ctx.quick() ? 160 : 256;
-    const Tensor a = randomTensor({dim, dim}, rng);
-    const Tensor b = randomTensor({dim, dim}, rng);
-    const int iters = ctx.quick() ? 8 : 16;
-    const auto workload = [&] {
-        for (int i = 0; i < iters; ++i)
-            (void)matmul(a, b);
-    };
-    const int reps = 7;
-
-    obs::StatsPlane& plane = obs::StatsPlane::instance();
-    const bool was_running = plane.running();
-    if (was_running)
-        plane.stop();
-
-    workload(); // touch caches before either measured arm
-    const double base_ms = bestOfMs(reps, workload);
-    const bool started = plane.start(10, "");
-    const double live_ms = bestOfMs(reps, workload);
-    if (started)
-        plane.stop();
-
-    const double overhead_pct =
-        base_ms > 0.0
-            ? std::max(0.0, (live_ms - base_ms) / base_ms * 100.0)
-            : 0.0;
-    ctx.timingValue("workload_base_ms", base_ms);
-    ctx.timingValue("workload_sampled_ms", live_ms);
-    ctx.timingValue("sampler_overhead_pct", overhead_pct);
-    ctx.printf("  observed tax on %zux%zu matmul loop: %.2f%% "
-               "(%.2fms -> %.2fms, 10ms ticks)\n",
-               dim, dim, overhead_pct, base_ms, live_ms);
-    ctx.require(started, "sampler started");
-
-    if (was_running)
-        plane.startFromEnv();
-
-    // -- Sampling profiler --------------------------------------------
-    // Two costs matter: the per-transition accounting site the thread
-    // pool hits when sampling is off (must be ~0, like every other
-    // disabled site), and the SIGPROF handler itself, whose derived
-    // tax at the default rate bounds the sampling overhead a profiled
-    // run pays.
-    const bool prev_metrics2 = obs::setMetricsEnabled(false);
-    const double note_ms = bestOfMs(5, [] {
-        for (int i = 0; i < kSites; ++i)
-            obs::noteThreadState(obs::ThreadState::Busy);
-    });
-    obs::setMetricsEnabled(prev_metrics2);
-    const double note_ns = note_ms * scale;
-    ctx.timingValue("disabled_thread_state_ns", note_ns);
-    ctx.printf("  disabled thread-state site: %.1fns\n", note_ns);
-    ctx.require(note_ns < 100.0,
-                "disabled thread-state accounting costs ~0");
-
-    // Per-sample handler cost, measured synchronously: raise(SIGPROF)
-    // delivers to the calling thread before returning, so the loop
-    // times kernel delivery + the full capture path.  The derived tax
-    // (cost x rate) is what a sampled workload pays; wall-clock A/B
-    // deltas of the workload itself are reported but not gated (they
-    // sit inside scheduler noise).
-    const bool was_sampling = obs::samplerRunning();
-    const bool sampler_ok = was_sampling || obs::startSampler();
-    ctx.require(sampler_ok, "sampling profiler started");
-    if (sampler_ok) {
-        constexpr int kSignals = 20000;
-        const double sig_ms = bestOfMs(3, [] {
-            for (int i = 0; i < kSignals; ++i)
-                obs::debugSampleNow();
-        });
-        const double sample_ns = sig_ms * 1e6 / kSignals;
-        const double hz = static_cast<double>(obs::samplerHz());
-        const double sample_tax_pct = sample_ns * hz / 1e9 * 100.0;
-        ctx.timingValue("sample_capture_ns", sample_ns);
-        ctx.timingValue("sampler_profile_tax_pct", sample_tax_pct);
-        ctx.printf("  sample capture %.0fns -> %.4f%% tax at %ldHz\n",
-                   sample_ns, sample_tax_pct, obs::samplerHz());
-        ctx.require(sample_tax_pct < 2.0,
-                    "sampling overhead under 2% at the default rate");
-
-        const double prof_on_ms = bestOfMs(reps, workload);
-        ctx.timingValue("workload_profiled_ms", prof_on_ms);
-        ctx.printf("  workload under SIGPROF sampling: %.2fms "
-                   "(unsampled arm above: %.2fms)\n",
-                   prof_on_ms, base_ms);
-        if (!was_sampling)
-            obs::stopSampler();
-    }
-
     // -- Heap profiler ------------------------------------------------
-    // Same two-cost contract: the hook every interposed operator
+    // Two costs matter: the hook every interposed operator
     // new/delete runs must be ~0 while nothing is armed, and sampling
     // at the default byte interval must tax an allocating workload by
     // under 3%.  Skipped entirely under sanitizer builds, where the
@@ -280,13 +153,27 @@ MRQ_BENCH(telemetry_overhead, "Obs layer",
         obs::startHeapProfiler();
         const double nd_on_ms = bestOfMs(5, churn);
         obs::stopHeapProfiler();
+
+        // An instrumented workload that allocates: the matmul loop
+        // allocates its result tensors, so the sampler actually fires.
+        Rng rng(321);
+        const std::size_t dim = ctx.quick() ? 160 : 256;
+        const Tensor a = randomTensor({dim, dim}, rng);
+        const Tensor b = randomTensor({dim, dim}, rng);
+        const int iters = ctx.quick() ? 8 : 16;
+        const auto workload = [&] {
+            for (int i = 0; i < iters; ++i)
+                (void)matmul(a, b);
+        };
+        workload(); // touch caches before either measured arm
+
         // Interleave the armed/disarmed workload arms: measuring one
         // arm wholly before the other lets CPU frequency drift land
         // on a single side and fake a tax (or hide one).  The gate
         // threshold (3% of a ~4ms loop) is ~100us — well inside
         // scheduler noise for any single run — so each arm takes the
         // min over enough reps to filter one-sided spikes.
-        const int heap_reps = std::max(reps, 8);
+        const int heap_reps = 8;
         double heap_on_ms = 0.0;
         double heap_off_ms = 0.0;
         double heap_tax_best = 0.0;
@@ -314,10 +201,8 @@ MRQ_BENCH(telemetry_overhead, "Obs layer",
                    "%.1fns\n",
                    nd_off_ms * scale, nd_on_ms * scale);
 
-        // Workload A/B at the default interval: the matmul loop
-        // allocates its result tensors, so the sampler actually
-        // fires.  heap_tax_best is the quietest of the interleaved
-        // passes above.
+        // Workload A/B at the default interval: heap_tax_best is the
+        // quietest of the interleaved passes above.
         const double heap_tax_pct = heap_tax_best;
         ctx.timingValue("workload_heapprof_ms", heap_on_ms);
         ctx.timingValue("workload_heapprof_base_ms", heap_off_ms);

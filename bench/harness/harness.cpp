@@ -10,10 +10,7 @@
 #include "obs/env.hpp"
 #include "obs/heap_profiler.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perf_counters.hpp"
 #include "obs/proc_stats.hpp"
-#include "obs/sampler.hpp"
-#include "obs/stats_server.hpp"
 #include "obs/trace_export.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -30,7 +27,7 @@ namespace {
  * Per-case sink path: "{run}" (when present) or a suffix before the
  * extension becomes the case slug, so a suite run leaves one file per
  * case instead of the last case overwriting the rest.  Shared by the
- * timeline (MRQ_TRACE_OUT) and sample-profile (MRQ_SAMPLE_OUT) sinks.
+ * timeline (MRQ_TRACE_OUT) and heap-profile (MRQ_HEAPPROF_OUT) sinks.
  */
 std::string
 casePathFor(std::string path, const std::string& case_name)
@@ -241,22 +238,9 @@ class Runner
             def.fn(ctx);
         }
 
-        // Hardware counters attach per timed rep (one PerfScope each)
-        // and sum in the perf side store; the store is cleared per
-        // case so the totals below cover exactly this case's reps.
-        obs::resetPerfTotals();
-        const char* kPerfScope = "bench.rep";
-
-        // Same per-case scoping for the sampling profiler: stacks
-        // accumulated before the timed reps (warmup, earlier cases)
-        // would pollute this case's attribution.
-        const bool sample_case = obs::samplerRunning();
-        if (sample_case)
-            obs::resetSamplerProfile();
-
-        // And for the heap profiler: drop warmup allocations and
-        // rebase the peak so the per-case resources cover exactly the
-        // timed reps.
+        // Per-case scoping for the heap profiler: drop warmup
+        // allocations (and earlier cases') and rebase the peak so the
+        // per-case resources cover exactly the timed reps.
         const bool heap_case = obs::heapProfilerRunning();
         if (heap_case)
             obs::resetHeapProfile();
@@ -269,7 +253,6 @@ class Runner
             record.values.clear();
             record.timingValues.clear();
             obs::MetricsRegistry::instance().reset();
-            obs::PerfScope perf(kPerfScope);
             samples.push_back(wallTimeMs([&] { def.fn(ctx); }));
         }
         record.metrics =
@@ -281,26 +264,6 @@ class Runner
         if (proc.peakRssKb >= 0)
             record.resources["peak_rss_kb"] =
                 static_cast<double>(proc.peakRssKb);
-        for (const auto& [scope, totals] : obs::perfTotalsSnapshot()) {
-            if (scope != kPerfScope || totals.cycles <= 0)
-                continue;
-            record.resources["cycles"] =
-                static_cast<double>(totals.cycles);
-            record.resources["instructions"] =
-                static_cast<double>(totals.instructions);
-            record.resources["cache_misses"] =
-                static_cast<double>(totals.cacheMisses);
-            record.resources["branch_misses"] =
-                static_cast<double>(totals.branchMisses);
-        }
-        if (sample_case) {
-            record.resources["samples"] =
-                static_cast<double>(obs::samplerSampleCount());
-            const std::string sample_out = obs::sampleOutPath();
-            if (!sample_out.empty())
-                obs::writeSampleProfile(
-                    casePathFor(sample_out, def.name));
-        }
         if (heap_case) {
             const obs::HeapStats heap = obs::heapStatsSnapshot();
             record.resources["alloc_bytes"] =
@@ -384,13 +347,9 @@ runRegisteredCases(const RunnerOptions& opts)
         std::fprintf(stderr, "bench harness: no cases match\n");
         return 1;
     }
-    // Live telemetry plane (no-op unless MRQ_STATS_* is set).
-    obs::StatsPlane::instance().startFromEnv();
-    // Sampling profiler (no-op unless MRQ_SAMPLE / MRQ_SAMPLE_OUT):
-    // armed once for the suite; runCase resets the aggregate per case.
-    obs::startSamplerFromEnv();
-    // Heap profiler (MRQ_HEAPPROF): same suite-level arming; runCase
-    // resets the aggregate per case and fills the alloc_* resources.
+    // Heap profiler (no-op unless MRQ_HEAPPROF / MRQ_HEAPPROF_OUT):
+    // armed once for the suite; runCase resets the aggregate per case
+    // and fills the alloc_* resources.
     obs::startHeapProfilerFromEnv();
 
     BenchReport report;
@@ -423,9 +382,7 @@ runRegisteredCases(const RunnerOptions& opts)
         any_failed = any_failed || record.failed;
         report.cases.push_back(std::move(record));
     }
-    // Disarm before teardown (per-case profiles are already written);
-    // a joinable drain thread must never reach static destruction.
-    obs::stopSampler();
+    // Disarm before teardown (per-case profiles are already written).
     obs::stopHeapProfiler();
 
     const std::string path = !opts.outPath.empty()

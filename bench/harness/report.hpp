@@ -19,16 +19,15 @@
  *       "values": {str: num, ...},          // deterministic scalars
  *       "timing_values": {str: num, ...},   // wall-clock derived
  *       "metrics": {str: num, ...},         // MetricsRegistry snapshot
- *       "resources": {str: num, ...}},      // RSS / perf counters
+ *       "resources": {str: num, ...}},      // RSS / heap counters
  *      ...]}
  *
  * Determinism contract: for a fixed seed, tier and MRQ_THREADS, two
  * runs differ only in "wall_ms", "timing_values" and "resources" —
  * everything in "values" and "metrics" is bit-identical (this is what
  * tools/bench_compare.py and the quick-tier CI gate rely on).
- * "resources" holds per-case process facts (peak RSS, hardware
- * counter totals when MRQ_PERF counted, and — when the heap
- * interposition is linked — alloc_bytes/alloc_count/peak_heap over
+ * "resources" holds per-case process facts (peak RSS and — when the
+ * heap interposition is linked — alloc_bytes/alloc_count/peak_heap over
  * the timed reps) that are machine-dependent by nature, so the tools
  * treat them like timings: noise-gated, never exact.  Cases and the
  * keys inside each map are sorted by name so diffs are stable.
@@ -102,8 +101,8 @@ struct CaseRecord
     std::map<std::string, double> values;
     std::map<std::string, double> timingValues;
     std::map<std::string, MetricValue> metrics;
-    /** Machine-dependent per-case facts (peak_rss_kb, perf counter
-     *  totals over the timed reps); noise-gated by the tools. */
+    /** Machine-dependent per-case facts (peak_rss_kb, heap counters
+     *  over the timed reps); noise-gated by the tools. */
     std::map<std::string, double> resources;
 };
 

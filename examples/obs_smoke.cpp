@@ -15,13 +15,18 @@
  *     MRQ_TRACE_OUT=trace.json   Chrome/Perfetto timeline of the run
  *                                (tools/check_trace_schema.py,
  *                                tools/trace_report.py)
- *     MRQ_PROFILE=1              hierarchical span profile on stdout
  *     MRQ_WATCHDOG=on|strict     training-health alerts in the JSONL
  *     MRQ_INSPECT=on             per-layer/per-rung numerical-health
  *                                records in MRQ_INSPECT_OUT
  *                                (default inspect.jsonl;
  *                                tools/check_inspect_schema.py,
  *                                tools/inspect_report.py)
+ *     MRQ_FAULT=segv@epoch:2     injected crash; with MRQ_POSTMORTEM_DIR
+ *                                the dump lands there
+ *                                (tools/check_postmortem_schema.py,
+ *                                tools/mrq_postmortem.py)
+ *     MRQ_ALLOC_GUARD=strict     exit 70 on an allocation inside the
+ *                                steady-state training step
  *
  * Exits non-zero when any telemetry sink failed to flush, so CI
  * catches silently lost files.  Runtime: a few seconds on one core.

@@ -9,9 +9,11 @@
  *
  * Every kernel restates the generic construction lane for lane
  * (kernel_scalar.hpp): the 16 virtual dot lanes map to two ymm
- * accumulators, tails use fault-suppressing vmaskmov loads whose
- * zeroed lanes are exact no-ops (fma(0, 0, acc) == acc — the
- * accumulators provably never hold -0), and the lattice rounding uses
+ * accumulators, tails use fault-suppressing vmaskmov loads and blend
+ * the old accumulator back on lanes past n (an fma of the zeroed
+ * lanes is not a no-op: fma(0, 0, -0) is +0, and an accumulator lane
+ * is -0 whenever its products all underflow to -0), and the lattice
+ * rounding uses
  * the same trunc / tie-blend / nearest sequence.  Bit-identity with
  * the generic table is enforced by tests/kernels/.
  */
@@ -72,15 +74,19 @@ dotAvx2(const float* a, const float* b, std::size_t n)
     const std::size_t rem = n - i;
     if (rem != 0) {
         const __m256i m_lo = tailMask8(rem < 8 ? rem : 8);
-        acc_lo = _mm256_fmadd_ps(_mm256_maskload_ps(a + i, m_lo),
-                                 _mm256_maskload_ps(b + i, m_lo),
-                                 acc_lo);
+        acc_lo = _mm256_blendv_ps(
+            acc_lo,
+            _mm256_fmadd_ps(_mm256_maskload_ps(a + i, m_lo),
+                            _mm256_maskload_ps(b + i, m_lo), acc_lo),
+            _mm256_castsi256_ps(m_lo));
         if (rem > 8) {
             const __m256i m_hi = tailMask8(rem - 8);
-            acc_hi =
+            acc_hi = _mm256_blendv_ps(
+                acc_hi,
                 _mm256_fmadd_ps(_mm256_maskload_ps(a + i + 8, m_hi),
                                 _mm256_maskload_ps(b + i + 8, m_hi),
-                                acc_hi);
+                                acc_hi),
+                _mm256_castsi256_ps(m_hi));
         }
     }
     return reduceLanes16(acc_lo, acc_hi);

@@ -5,8 +5,9 @@
  * Compiled with -mavx512f via per-source flags (src/CMakeLists.txt
  * defines MRQ_KERNELS_HAVE_AVX512 when the compiler accepts it).  The
  * 16 virtual dot lanes are one zmm accumulator; tails use zero-masked
- * loads (exact no-ops on the accumulator, as in the AVX2 variant) and
- * the reduction splits the zmm into two ymm halves so the tree is the
+ * loads and a merge-masked fma, so lanes past n keep their value
+ * exactly (as in the AVX2 variant; an fma of zeros would turn a -0
+ * lane into +0), and the reduction splits the zmm into two ymm halves so the tree is the
  * same lane pairing as generic and AVX2.  The lattice rounding
  * restates the kernel_scalar.hpp construction with vroundscale.
  */
@@ -62,8 +63,9 @@ dotAvx512(const float* a, const float* b, std::size_t n)
                               _mm512_loadu_ps(b + i), acc);
     if (i < n) {
         const __mmask16 m = tailMask16(n - i);
-        acc = _mm512_fmadd_ps(_mm512_maskz_loadu_ps(m, a + i),
-                              _mm512_maskz_loadu_ps(m, b + i), acc);
+        acc = _mm512_mask3_fmadd_ps(_mm512_maskz_loadu_ps(m, a + i),
+                                    _mm512_maskz_loadu_ps(m, b + i), acc,
+                                    m);
     }
     return reduceLanes16(acc);
 }

@@ -31,8 +31,8 @@ struct KernelMetricIds
 KernelMetricIds g_ids[kKernelCount];
 
 /** Kernel family currently executing (serial dispatch contexts only;
- *  -1 = none).  Read from the SIGPROF handler — keep it a bare
- *  relaxed atomic. */
+ *  -1 = none).  A bare relaxed atomic: the heap profiler reads it
+ *  from inside the allocator. */
 std::atomic<int> g_active_kernel{-1};
 
 int

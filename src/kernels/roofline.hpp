@@ -1,7 +1,6 @@
 /**
  * @file
- * Flop/byte accounting for the micro-kernel substrate (the roofline
- * half of the telemetry plane, obs/stats_server.hpp).
+ * Flop/byte accounting for the micro-kernel substrate.
  *
  * Each dispatched kernel family carries nominal per-element cost
  * constants: flops per element and bytes moved per element, where an
@@ -18,9 +17,9 @@
  * region) or recordKernelElems (counter only, for per-group hw-sim
  * hot paths).  The element counters are shape-derived and therefore
  * deterministic (safe for the JSONL sink); the wall-ns goes through
- * the timing family, which never reaches a deterministic sink.  The
- * exposition layer divides flops-per-elem * elems by the region time
- * to report achieved GFLOP/s against peakFlopsPerCycle() per ISA.
+ * the timing family, which never reaches a deterministic sink.
+ * Dividing flops-per-elem * elems by the region time gives achieved
+ * GFLOP/s, comparable against peakFlopsPerCycle() per ISA.
  */
 
 #ifndef MRQ_KERNELS_ROOFLINE_HPP
@@ -32,7 +31,6 @@
 #include "kernels/isa.hpp"
 #include "obs/heap_profiler.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 
 namespace mrq {
 namespace kernels {
@@ -65,21 +63,21 @@ struct KernelCost
 const KernelCost& kernelCost(KernelId id);
 
 /** Nominal peak flops/cycle/core of one ISA variant (fma lanes x 2);
- *  the roofline ceiling the exposition layer reports against. */
+ *  the roofline ceiling. */
 double peakFlopsPerCycle(Isa isa);
 
 namespace detail {
 void recordKernelRegion(KernelId id, std::int64_t elems,
                         std::int64_t ns);
-/** Swap the process-wide active-kernel tag (sampler attribution);
- *  returns the previous tag. */
+/** Swap the process-wide active-kernel tag (heap-profiler
+ *  attribution); returns the previous tag. */
 int exchangeActiveKernelTag(int tag);
 void setActiveKernelTag(int tag);
 } // namespace detail
 
 /** Kernel family currently inside a KernelRegion (-1 = none).
- *  Async-signal-safe: one relaxed atomic load — the SIGPROF sampler
- *  reads it to tag samples with the running kernel.  Process-wide,
+ *  One relaxed atomic load — the heap profiler reads it to tag
+ *  sampled allocations with the running kernel.  Process-wide,
  *  so concurrent *serial* dispatch contexts (unusual) attribute
  *  statistically, not exactly; nested regions restore correctly. */
 int activeKernelSampleTag();
@@ -91,11 +89,10 @@ void recordKernelElems(KernelId id, std::int64_t elems);
 /**
  * RAII op-level accounting region: wrap the whole (possibly parallel)
  * op from a serial context.  Records the shape-derived element count
- * and the region wall time under "kernel.<slug>"; while the SIGPROF
- * sampler or the heap profiler runs it also publishes the kernel id
- * as the process-wide active-kernel tag so CPU samples and sampled
- * allocations both attribute to the family.  Disabled cost: three
- * relaxed loads and a branch.
+ * and the region wall time under "kernel.<slug>"; while the heap
+ * profiler runs it also publishes the kernel id as the process-wide
+ * active-kernel tag so sampled allocations attribute to the family.
+ * Disabled cost: two relaxed loads and a branch.
  */
 class KernelRegion
 {
@@ -103,8 +100,7 @@ class KernelRegion
     KernelRegion(KernelId id, std::int64_t elems)
     {
         const bool metrics = obs::metricsEnabled();
-        if (!metrics && !obs::samplerRunning() &&
-            !obs::heapProfilerRunning())
+        if (!metrics && !obs::heapProfilerRunning())
             return;
         id_ = id;
         tagged_ = true;

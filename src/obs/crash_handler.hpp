@@ -15,8 +15,6 @@
  *       for signals also the name/number and fault address.
  *   {"type": "manifest", ...}   the active run's manifest (if a
  *       RunScope published one via setPostmortemManifest).
- *   {"type": "stats", ...}      last stats-plane snapshot line (if the
- *       sampler published one via setPostmortemStatsLine).
  *   {"type": "frame", ...}      one per backtrace frame, innermost
  *       first, symbolized via dladdr (no demangling — the demangler
  *       allocates).
@@ -27,8 +25,8 @@
  * test): pre-allocated static buffers only, no malloc, no stdio, no
  * locks, no C++ exceptions.  backtrace() is warmed at install time
  * because glibc lazily loads libgcc (with malloc) on first call.
- * Run-manifest and stats lines are pre-rendered from normal context
- * into double-buffered static storage so the handler only reads.
+ * The run-manifest line is pre-rendered from normal context into
+ * double-buffered static storage so the handler only reads.
  *
  * Beyond crashes:
  *  - SIGUSR1 dumps on demand (to `...usr1.jsonl`) and returns — poke a
@@ -38,7 +36,7 @@
  *    with reason "hang", and under MRQ_WATCHDOG=strict then flushes
  *    sinks and exits 70 (the watchdog's fatal code).
  *  - SIGINT/SIGTERM get a graceful path: flush every live RunScope,
- *    stop the stats plane, exit 75 — Ctrl-C'd runs keep telemetry.
+ *    exit 75 — Ctrl-C'd runs keep telemetry.
  *  - MRQ_FAULT=<kind>@<site>:<n> (kind: segv, bus, ill, fpe, abort,
  *    terminate, hang; site: epoch, rung, bench_rep, ...) injects a
  *    deterministic fault at the n-th visit of a matching
@@ -101,10 +99,6 @@ bool crashHandlersInstalled();
  *  by RunScope; cheap, thread-safe, crash-time reads are lock-free. */
 void setPostmortemManifest(const std::string& manifestLine);
 
-/** Pre-render the latest stats snapshot line for dumps.  Called by
- *  the stats sampler each tick. */
-void setPostmortemStatsLine(const char* statsLine);
-
 /** Liveness beacon for the hang monitor: call from the training loop
  *  at batch boundaries.  Near-free (one relaxed store). */
 void heartbeat();
@@ -119,7 +113,7 @@ void faultInjectionPoint(const char* site, std::int64_t index = -1);
 
 /**
  * Async-signal-safe dump of the current state (header, manifest,
- * stats, backtrace from here, flight drain) to @p fd with the given
+ * backtrace from here, flight drain) to @p fd with the given
  * header reason.  The SIGUSR1/hang paths use it; tests call it
  * directly to assert the handler path allocates nothing.  Returns the
  * number of lines written.

@@ -16,6 +16,7 @@
 #ifndef MRQ_OBS_ENV_HPP
 #define MRQ_OBS_ENV_HPP
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace mrq {
@@ -70,17 +71,27 @@ envValue(const char* name, const char* fallback)
     return v != nullptr && v[0] != '\0' ? v : fallback;
 }
 
-/** Integer value of @p name; @p fallback when unset, empty, or not a
- *  full base-10 integer (no silent prefix parsing). */
+/** @p value as a long; @p fallback when null, empty, not a full
+ *  base-10 integer (no silent prefix parsing) or out of long's range
+ *  (no silent clamp to LONG_MAX/LONG_MIN). */
+inline long
+parseLong(const char* value, long fallback)
+{
+    if (value == nullptr || value[0] == '\0')
+        return fallback;
+    char* end = nullptr;
+    errno = 0;
+    const long parsed = std::strtol(value, &end, 10);
+    if (errno == ERANGE)
+        return fallback;
+    return end != value && *end == '\0' ? parsed : fallback;
+}
+
+/** Integer value of @p name; parseLong()'s fallback rules apply. */
 inline long
 envLong(const char* name, long fallback)
 {
-    const char* v = std::getenv(name);
-    if (v == nullptr || v[0] == '\0')
-        return fallback;
-    char* end = nullptr;
-    const long parsed = std::strtol(v, &end, 10);
-    return end != v && *end == '\0' ? parsed : fallback;
+    return parseLong(std::getenv(name), fallback);
 }
 
 } // namespace obs

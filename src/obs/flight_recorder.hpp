@@ -22,7 +22,7 @@
  * reclaimed by a new thread once all free slots are used.  Reading
  * event payloads (flightDrain, flightEventCount) is only exact from
  * serial points or post-crash; thread *names* are mutex-guarded and
- * may be listed live (the stats endpoint does).
+ * may be listed live.
  *
  * Knobs: MRQ_FLIGHT=0/off disables recording (it is on by default —
  * the steady-state cost is a few tens of ns at epoch-cadence record
@@ -83,7 +83,7 @@ void flightMark(const char* name, std::int64_t a = -1);
 /**
  * Name the calling thread: forwards to pthread_setname_np (so the
  * name shows up in gdb/top/core files) and labels this thread's
- * flight-ring slot (so dumps and the stats endpoint can name it).
+ * flight-ring slot (so dumps can name it).
  * Registers a slot even while recording is disabled.
  */
 void setCurrentThreadName(const char* name);
@@ -93,7 +93,7 @@ void setCurrentThreadName(const char* name);
 const char* currentThreadFlightName();
 
 /** Names of every live registered thread (mutex-guarded; safe to call
- *  from the stats sampler while threads come and go). */
+ *  from any thread while threads come and go). */
 std::vector<std::string> flightThreadNames();
 
 /** Total events ever recorded across all slots (exact from serial

@@ -14,7 +14,7 @@
  * its mutex) is intentionally immortal — function-local leaked
  * singletons, never destroyed — because interposed operator delete
  * keeps running through static destruction and must never race a
- * dying mutex.  The same reasoning the stats plane documents.
+ * dying mutex.
  */
 
 #include "obs/heap_profiler.hpp"
@@ -27,6 +27,8 @@
 #include <map>
 #include <mutex>
 
+#include <cxxabi.h>
+#include <dlfcn.h>
 #include <execinfo.h>
 #include <malloc.h>
 
@@ -37,7 +39,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 
 namespace mrq {
@@ -82,7 +83,7 @@ long long g_violation_size = 0;
 const char* g_violation_site = nullptr;
 char g_violation_thread[kFlightThreadNameCap] = {};
 
-// ---- per-thread churn slots (sampler slot pattern) ----------------
+// ---- per-thread churn slots --------------------------------------
 
 struct HeapSlot
 {
@@ -183,6 +184,42 @@ aggMap()
 {
     static HeapAggMap* m = new HeapAggMap;
     return *m;
+}
+
+/** Demangled symbol name for @p pc via dladdr ("0x..." when the PC
+ *  has no dynamic symbol), argument list dropped so folded stacks
+ *  and diff keys get one frame name.  Cached; emission context only
+ *  (allocates, locks).  Immortal like the aggregate. */
+std::string
+symbolizePc(std::uintptr_t pc)
+{
+    static std::mutex* mutex = new std::mutex;
+    static auto* cache = new std::map<std::uintptr_t, std::string>;
+    std::lock_guard<std::mutex> lock(*mutex);
+    auto it = cache->find(pc);
+    if (it != cache->end())
+        return it->second;
+    std::string out;
+    Dl_info info;
+    if (dladdr(reinterpret_cast<void*>(pc), &info) != 0 &&
+        info.dli_sname != nullptr) {
+        int status = 0;
+        char* dem = abi::__cxa_demangle(info.dli_sname, nullptr,
+                                        nullptr, &status);
+        out = status == 0 && dem != nullptr ? dem : info.dli_sname;
+        std::free(dem);
+        const std::size_t paren = out.find('(');
+        if (paren != std::string::npos && paren > 0)
+            out.resize(paren);
+    }
+    if (out.empty()) {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "0x%llx",
+                      static_cast<unsigned long long>(pc));
+        out = buf;
+    }
+    cache->emplace(pc, out);
+    return out;
 }
 
 /** glibc's backtrace() dlopens libgcc (with malloc) on first use;

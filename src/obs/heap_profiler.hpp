@@ -2,8 +2,7 @@
  * @file
  * Memory observability: sampling heap profiler + no-alloc guards.
  *
- * The SIGPROF sampler (obs/sampler.hpp) explains where CPU cycles go;
- * this module explains where heap bytes go.  A replacement operator
+ * This module explains where heap bytes go.  A replacement operator
  * new/delete set (obs/new_delete.cpp, linked into the static library
  * unless a sanitizer provides its own) reports every C++ heap
  * allocation to a pair of hooks.  When nothing is armed the hooks
@@ -17,12 +16,11 @@
  *    at MRQ_HEAPPROF_INTERVAL (default 512 KiB); the allocation that
  *    crosses the boundary captures a backtrace plus the thread's
  *    active span path (obs/trace.hpp) and the process's active kernel
- *    family (kernels/roofline.hpp) — the exact attribution machinery
- *    the SIGPROF sampler threads through KernelRegion — and charges
- *    the accumulated bytes to that (span, kernel, stack) key.  Live
- *    totals (current/peak bytes, allocation rate, a log2 size-class
- *    histogram, per-thread churn) feed the stats endpoint
- *    (obs/exposition.hpp) and post-mortem dumps; the aggregate is
+ *    family (kernels/roofline.hpp, published by KernelRegion) — and
+ *    charges the accumulated bytes to that (span, kernel, stack) key.
+ *    Live totals (current/peak bytes, allocation rate, a log2
+ *    size-class histogram, per-thread churn) feed the bench resources
+ *    map and post-mortem dumps; the aggregate is
  *    emitted as a versioned JSONL heap profile (MRQ_HEAPPROF_OUT,
  *    "{run}" substituted, atomic tmp+rename) plus folded stacks
  *    (MRQ_HEAPPROF_FOLDED) weighted by bytes for flamegraphs.

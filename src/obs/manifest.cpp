@@ -11,9 +11,6 @@
 #include "obs/heap_profiler.hpp"
 #include "obs/inspect.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
-#include "obs/sampler.hpp"
-#include "obs/stats_server.hpp"
 #include "obs/trace_export.hpp"
 
 #ifndef MRQ_GIT_DESCRIBE
@@ -166,20 +163,11 @@ RunScope::RunScope(RunManifest manifest, bool verbose)
     : manifest_(std::move(manifest)), verbose_(verbose)
 {
     applyBuildProvenance(&manifest_);
-    // The live stats plane (MRQ_STATS_SOCK / MRQ_STATS_EVERY) needs
-    // metric collection on even without an offline sink — but without
-    // the fresh-block reset: a scrape wants cumulative process totals
-    // (Prometheus counter semantics), and resetting here would change
-    // recorded metrics relative to a plain run.
-    const bool stats_live =
-        envSet("MRQ_STATS_SOCK") || envSet("MRQ_STATS_EVERY");
     const bool sink_live = envSet("MRQ_METRICS_OUT") || traceEnabled() ||
                            verbose_;
     prevVerbose_ = setLogVerbose(verbose_);
     if (sink_live) {
         MetricsRegistry::instance().reset();
-        prevEnabled_ = setMetricsEnabled(true);
-    } else if (stats_live) {
         prevEnabled_ = setMetricsEnabled(true);
     } else {
         prevEnabled_ = metricsEnabled();
@@ -194,13 +182,9 @@ RunScope::RunScope(RunManifest manifest, bool verbose)
     // this run's manifest line for post-mortem dumps.
     if (installCrashHandlersFromEnv())
         setPostmortemManifest(manifestJson(manifest_));
-    if (stats_live)
-        StatsPlane::instance().startFromEnv();
-    // Sampling profiler (MRQ_SAMPLE / MRQ_SAMPLE_OUT): idempotent —
+    // Heap profiler (MRQ_HEAPPROF / MRQ_HEAPPROF_OUT): idempotent —
     // already-running (e.g. armed by an outer scope or the bench
     // harness) just keeps running.
-    startSamplerFromEnv();
-    // Heap profiler (MRQ_HEAPPROF / MRQ_HEAPPROF_OUT): same contract.
     startHeapProfilerFromEnv();
 }
 
@@ -220,7 +204,6 @@ RunScope::flush()
         }
         if (verbose_)
             MetricsRegistry::instance().printSummary(stdout);
-        flushProfile(stdout);
     }
     if (traceExportEnabled()) {
         const std::string path = resolveTraceOutPath(manifest_.run);
@@ -230,16 +213,10 @@ RunScope::flush()
         if (!path.empty() && !writeTrace(path))
             sinkLost("timeline", manifest_.run);
     }
-    if (samplerEnabledFromEnv()) {
+    if (heapProfilerEnabledFromEnv()) {
         // Like the timeline: the aggregated profile is cumulative, so
         // the last run's write holds the whole process unless the
         // path splits per run via "{run}".
-        if (!flushSampleProfile(manifest_.run))
-            sinkLost("sample profile", manifest_.run);
-    }
-    if (heapProfilerEnabledFromEnv()) {
-        // Cumulative like the sample profile; "{run}" in the path
-        // splits per run.
         if (!flushHeapProfile(manifest_.run))
             sinkLost("heap profile", manifest_.run);
     }

@@ -15,7 +15,8 @@
  * resets the registry and enables collection when any sink is live
  * (MRQ_METRICS_OUT set, tracing on, or verbose requested); on exit it
  * flushes every live sink — JSONL metrics, the MRQ_TRACE_OUT
- * timeline, the MRQ_PROFILE report, the verbose summary — then
+ * timeline, the heap profile, the inspector records, the verbose
+ * summary — then
  * restores the previous enable/verbose state.  With no sink live it
  * enables nothing, keeping instrumented hot loops at their disabled
  * near-zero cost.

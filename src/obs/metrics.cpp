@@ -21,10 +21,9 @@ namespace detail {
 
 // Order matters: g_metrics_enabled reads g_trace_enabled, and both
 // are dynamically initialized in declaration order within this TU.
-// MRQ_PROFILE and MRQ_TRACE_OUT imply span tracing (the profiler and
-// the timeline are built from spans), which in turn implies metrics.
+// MRQ_TRACE_OUT implies span tracing (the timeline is built from
+// spans), which in turn implies metrics.
 std::atomic<bool> g_trace_enabled{envTruthy("MRQ_TRACE") ||
-                                  envTruthy("MRQ_PROFILE") ||
                                   envSet("MRQ_TRACE_OUT")};
 std::atomic<bool> g_metrics_enabled{
     envSet("MRQ_METRICS_OUT") ||
@@ -58,10 +57,9 @@ namespace {
 // ------------------------------------------------------------------
 // Shard storage.
 //
-// Each shard is written by exactly one thread, but — since the stats
-// plane (obs/stats_server.hpp) snapshots the registry from a
-// background sampler thread while hot loops are still recording —
-// every slot a reader can touch is a relaxed atomic and every block
+// Each shard is written by exactly one thread, but — since a
+// snapshot may be taken from another thread while hot loops are
+// still recording — every slot a reader can touch is a relaxed atomic and every block
 // of slots is published with a release store.  The writer never uses
 // an atomic RMW (single-writer load+store keeps the hot path at
 // plain-move cost); the reader gets word-atomic, never-torn values
@@ -156,7 +154,7 @@ struct BlockTable
         return p;
     }
 
-    /** Reader lookup (sampler thread or snapshot); may be nullptr. */
+    /** Reader lookup (snapshot, possibly concurrent); may be nullptr. */
     const Block*
     readerBlock(std::size_t block) const
     {
@@ -433,7 +431,7 @@ MetricsRegistry::snapshot() const
     // Aggregate shards: all sharded values are integers, so the sum
     // is independent of how work was distributed over threads.  Slot
     // loads are relaxed atomics, so aggregating concurrently with
-    // hot-path writers (the stats-plane sampler) reads clean values —
+    // hot-path writers reads clean values —
     // each at worst a few updates stale, never torn.
     std::vector<std::int64_t> counters(im.counterNames.size(), 0);
     std::vector<std::vector<std::int64_t>> hists(im.histNames.size());

@@ -9,9 +9,9 @@
  * thread, so recording is lock-free and TSan-clean — and are summed
  * into one total at snapshot time.  Shard slots are single-writer
  * relaxed atomics in release-published fixed blocks, so snapshot()
- * may also run concurrently with hot-path writers (the stats-plane
- * sampler thread, obs/stats_server.hpp) and reads clean, never-torn
- * values that are at worst a few updates stale.  All sharded values are integers,
+ * may also run concurrently with hot-path writers (from any other
+ * thread) and reads clean, never-torn values that are at worst a few
+ * updates stale.  All sharded values are integers,
  * so the aggregate is independent of which thread recorded what and
  * therefore independent of MRQ_THREADS.  Registry-level values
  * (gauges, series) hold doubles and must be recorded from serial code
@@ -135,7 +135,7 @@ struct Snapshot
  * Process-wide metric store.  Registration and registry-level records
  * take a mutex; sharded records are lock-free after the first touch
  * per thread.  snapshot() is safe to call concurrently with sharded
- * hot-path writers (the stats-plane sampler relies on this); for an
+ * hot-path writers; for an
  * *exact* total it must still run outside parallel regions (every
  * parallelFor return edge is a synchronization point, so "after the
  * loop" is always safe).  reset()/writeJsonl() remain serial-point

@@ -1,14 +1,12 @@
 /**
  * @file
- * Process-level resource snapshot for the telemetry plane: current and
- * peak RSS, live thread count, and accumulated CPU time, read from
- * /proc/self with a getrusage() fallback when /proc is unavailable
- * (non-Linux, restricted mounts).
+ * Process-level resource snapshot: peak RSS, read from /proc/self
+ * with a getrusage() fallback when /proc is unavailable (non-Linux,
+ * restricted mounts).
  *
  * These values are inherently non-deterministic, so they must never
  * reach a deterministic sink (JSONL metrics, bench `values`/`metrics`
- * maps).  They are rendered only by the exposition layer
- * (obs/exposition.hpp) and by the bench harness's noise-gated
+ * maps).  They are rendered only by the bench harness's noise-gated
  * `resources` map.
  */
 
@@ -23,10 +21,7 @@ namespace obs {
 /** One point-in-time view of the process; -1 = field unavailable. */
 struct ProcStats
 {
-    std::int64_t rssKb = -1;     ///< Current resident set (VmRSS).
     std::int64_t peakRssKb = -1; ///< Peak resident set (VmHWM).
-    std::int64_t threads = -1;   ///< Live thread count.
-    double cpuSeconds = -1.0;    ///< User + system CPU time.
 };
 
 /** Read the current process stats (never throws; missing sources

@@ -28,7 +28,7 @@
  * different thread.
  *
  * Spans are active only when traceEnabled() (MRQ_TRACE=1,
- * MRQ_PROFILE=1, MRQ_TRACE_OUT set, or setTraceEnabled); when
+ * MRQ_TRACE_OUT set, or setTraceEnabled); when
  * disabled, construction is a relaxed atomic load and a branch.  Span
  * timings go to the summary sink only — wall times are inherently
  * non-deterministic, and the JSONL sink must stay byte-identical

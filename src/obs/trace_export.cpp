@@ -227,7 +227,7 @@ writeTrace(const std::string& path)
     if (base == std::numeric_limits<std::int64_t>::max())
         base = 0;
 
-    // Surface ring overflow on the live stats endpoint.  Recorded at
+    // Surface ring overflow as a metrics counter.  Recorded at
     // flush time, which every sink-ordering puts *after* the
     // deterministic snapshots (RunScope writes JSONL first, the bench
     // harness snapshots before flushing traces), so the possibly

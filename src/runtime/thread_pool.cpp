@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "common/logging.hpp"
 #include "obs/crash_handler.hpp"
@@ -9,7 +10,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/heap_profiler.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
 
@@ -50,16 +50,35 @@ obs::TimingStat t_executor_busy("runtime.pool.executor_busy");
 std::size_t
 configuredThreads()
 {
-    std::size_t t = std::thread::hardware_concurrency();
-    if (t == 0)
-        t = 1;
-    const long v = obs::envLong("MRQ_THREADS", 0);
-    if (v > 0)
-        t = static_cast<std::size_t>(v);
-    return std::max<std::size_t>(1, t);
+    std::string diagnostic;
+    const std::size_t t =
+        poolThreadsFromEnv(obs::envValue("MRQ_THREADS", nullptr),
+                           std::thread::hardware_concurrency(),
+                           &diagnostic);
+    if (!diagnostic.empty())
+        std::fprintf(stderr, "mrq: %s\n", diagnostic.c_str());
+    return t;
 }
 
 } // namespace
+
+std::size_t
+poolThreadsFromEnv(const char* value, std::size_t hardware,
+                   std::string* diagnostic)
+{
+    const std::size_t fallback = std::max<std::size_t>(1, hardware);
+    if (value == nullptr || value[0] == '\0')
+        return fallback;
+    const long v = obs::parseLong(value, 0);
+    if (v >= 1 && v <= kMaxPoolThreads)
+        return static_cast<std::size_t>(v);
+    if (diagnostic != nullptr)
+        *diagnostic = "MRQ_THREADS=" + std::string(value) +
+                      " is not an integer in [1, " +
+                      std::to_string(kMaxPoolThreads) + "]; using " +
+                      std::to_string(fallback) + " threads";
+    return fallback;
+}
 
 ThreadPool&
 ThreadPool::instance()
@@ -148,9 +167,6 @@ ThreadPool::run(std::size_t num_chunks,
     }
 
     const bool obs_on = obs::metricsEnabled();
-    // The publish timestamp feeds both the queue-wait timing (metrics)
-    // and the workers' idle/queue-wait wall-clock split (sampler).
-    const bool stamp_publish = obs_on || obs::samplerRunning();
     // Workers inherit the caller's span path (as an interned id, valid
     // on any thread) so spans opened inside chunk bodies nest under
     // the span that launched the loop.
@@ -162,18 +178,14 @@ ThreadPool::run(std::size_t num_chunks,
         jobTracePathId_ = trace_path_id;
         jobGuardDepth_ = obs::currentAllocGuardDepth();
         jobGuardSite_ = obs::currentAllocGuardSite();
-        jobPublishNs_ = stamp_publish ? obs::nowNs() : 0;
+        jobPublishNs_ = obs_on ? obs::nowNs() : 0;
         doneCount_ = 0;
         error_ = nullptr;
         ++jobSeq_;
     }
     jobCv_.notify_all();
 
-    // The caller participates as thread 0 of the round-robin.  It
-    // also (re-)registers as a permanently Busy thread with the
-    // sampler's accounting — dispatching threads have no park state
-    // the pool can observe.
-    obs::noteThreadState(obs::ThreadState::Busy);
+    // The caller participates as thread 0 of the round-robin.
     const std::int64_t busy0 = obs_on ? obs::nowNs() : 0;
     const int chunk_path = chunkEventPathId();
     t_inside_parallel = true;
@@ -213,12 +225,11 @@ void
 ThreadPool::workerLoop(std::size_t index, std::uint64_t seen)
 {
     // Shutdown signals stay with the main thread; the worker gets a
-    // name for dumps, the stats endpoint and external tools.
+    // name for dumps and external tools.
     obs::blockShutdownSignalsInThisThread();
     char name[16];
     std::snprintf(name, sizeof name, "mrq-pool-%zu", index);
     obs::setCurrentThreadName(name);
-    obs::noteThreadState(obs::ThreadState::Idle);
     for (;;) {
         FunctionRef<void(std::size_t)> body;
         std::size_t chunks = 0;
@@ -243,10 +254,6 @@ ThreadPool::workerLoop(std::size_t index, std::uint64_t seen)
         const bool obs_on = obs::metricsEnabled();
         if (obs_on && publish_ns != 0)
             t_queue_wait.record(obs::nowNs() - publish_ns);
-        // Wall-clock decomposition: the wait that just ended splits
-        // into idle (before the job was published) and queue-wait
-        // (published but not yet picked up).
-        obs::noteThreadBusy(publish_ns);
         const std::int64_t busy0 = obs_on ? obs::nowNs() : 0;
         {
             obs::InheritedTracePath trace_guard(trace_path_id);
@@ -272,7 +279,6 @@ ThreadPool::workerLoop(std::size_t index, std::uint64_t seen)
         }
         if (obs_on)
             t_executor_busy.record(obs::nowNs() - busy0);
-        obs::noteThreadState(obs::ThreadState::Idle);
 
         {
             std::lock_guard<std::mutex> lock(mutex_);

@@ -6,8 +6,10 @@
  * the library: the dense kernels in src/tensor, the group-quantization
  * loops in src/core, the per-image/per-channel loops in src/nn, and
  * the independent-tile sweeps in src/hw.  The pool size comes from the
- * MRQ_THREADS environment variable (default: hardware concurrency);
- * tests and benches may change it at runtime with resize().
+ * MRQ_THREADS environment variable (default: hardware concurrency;
+ * a value outside [1, kMaxPoolThreads] is rejected with a one-line
+ * stderr diagnostic); tests and benches may change it at runtime with
+ * resize().
  *
  * Determinism contract: work is split into chunks whose boundaries
  * depend only on the problem size and a caller-chosen grain — never on
@@ -40,6 +42,19 @@
 #include "runtime/function_ref.hpp"
 
 namespace mrq {
+
+/** Largest pool size MRQ_THREADS may request. */
+constexpr long kMaxPoolThreads = 1024;
+
+/**
+ * Pool size for the MRQ_THREADS value @p value: the value itself when
+ * it is a base-10 integer in [1, kMaxPoolThreads], else @p hardware
+ * (at least 1).  An unset or empty value is not an error; any other
+ * rejected value (garbage, 0, negative, too large, overflowing) sets
+ * @p diagnostic to a one-line reason.  Pure: starts no threads.
+ */
+std::size_t poolThreadsFromEnv(const char* value, std::size_t hardware,
+                               std::string* diagnostic);
 
 /** Persistent worker pool; use through the parallelFor helpers below. */
 class ThreadPool

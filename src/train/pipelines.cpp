@@ -12,7 +12,6 @@
 #include "obs/inspect.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perf_counters.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
 
@@ -283,7 +282,6 @@ classifierPipeline(Sequential& model, const SynthImages& data,
         obs::faultInjectionPoint("epoch",
                                  static_cast<std::int64_t>(epoch));
         MRQ_TRACE_SPAN("pipeline.fp_epoch");
-        obs::PerfScope perf("pipeline.fp_epoch");
         const auto t0 = Clock::now();
         trainer.optimizer().setLr(
             cosineLr(opts.fpLr, static_cast<int>(epoch),
@@ -316,7 +314,6 @@ classifierPipeline(Sequential& model, const SynthImages& data,
             obs::faultInjectionPoint("epoch",
                                      static_cast<std::int64_t>(epoch));
             MRQ_TRACE_SPAN("pipeline.tune_epoch");
-            obs::PerfScope perf("pipeline.tune_epoch");
             const auto t0 = Clock::now();
             trainer.optimizer().setLr(
                 cosineLr(opts.mrLr, static_cast<int>(epoch),
@@ -530,7 +527,6 @@ lmPipeline(LstmLm& model, const SynthText& data,
         obs::faultInjectionPoint("epoch",
                                  static_cast<std::int64_t>(epoch));
         MRQ_TRACE_SPAN("pipeline.fp_epoch");
-        obs::PerfScope perf("pipeline.fp_epoch");
         const auto t0 = Clock::now();
         trainer.optimizer().setLr(
             cosineLr(opts.fpLr, static_cast<int>(epoch),
@@ -559,7 +555,6 @@ lmPipeline(LstmLm& model, const SynthText& data,
         obs::faultInjectionPoint("epoch",
                                  static_cast<std::int64_t>(epoch));
         MRQ_TRACE_SPAN("pipeline.tune_epoch");
-            obs::PerfScope perf("pipeline.tune_epoch");
         const auto t0 = Clock::now();
         trainer.optimizer().setLr(
             cosineLr(opts.mrLr, static_cast<int>(epoch),
@@ -743,7 +738,6 @@ yoloPipeline(TinyYolo& model, const SynthDetect& data,
         obs::faultInjectionPoint("epoch",
                                  static_cast<std::int64_t>(epoch));
         MRQ_TRACE_SPAN("pipeline.fp_epoch");
-        obs::PerfScope perf("pipeline.fp_epoch");
         const auto t0 = Clock::now();
         trainer.optimizer().setLr(
             cosineLr(opts.fpLr, static_cast<int>(epoch),
@@ -771,7 +765,6 @@ yoloPipeline(TinyYolo& model, const SynthDetect& data,
         obs::faultInjectionPoint("epoch",
                                  static_cast<std::int64_t>(epoch));
         MRQ_TRACE_SPAN("pipeline.tune_epoch");
-            obs::PerfScope perf("pipeline.tune_epoch");
         const auto t0 = Clock::now();
         trainer.optimizer().setLr(
             cosineLr(opts.mrLr, static_cast<int>(epoch),

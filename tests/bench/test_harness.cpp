@@ -465,9 +465,9 @@ TEST(BenchCompare, CheckResourcesGatesHeapGrowthButNotAbsence)
 
 TEST(BenchCompare, TruncatedProfileDowngradesToDiagnostic)
 {
-    // profile_diff.py and heap_diff.py must exit 2 with a diagnostic
-    // (not a traceback) on empty or truncated inputs; bench_compare
-    // treats that as "attribution unavailable", not a gate failure.
+    // heap_diff.py must exit 2 with a diagnostic (not a traceback)
+    // on empty or truncated inputs; bench_compare treats that as
+    // "attribution unavailable", not a gate failure.
     if (std::system("python3 --version > /dev/null 2>&1") != 0)
         GTEST_SKIP() << "python3 not available";
     const std::string dir = std::string(::testing::TempDir());
@@ -480,20 +480,18 @@ TEST(BenchCompare, TruncatedProfileDowngradesToDiagnostic)
                "\"kernel\": \"\", \"bytes\": 1, \"count\": 1, "
                "\"frames\": []}\n";
     }
-    for (const char* tool : {"profile_diff.py", "heap_diff.py"}) {
-        const std::string path =
-            std::string(MRQ_SOURCE_DIR) + "/tools/" + tool;
-        for (const std::string& bad : {empty, truncated}) {
-            const int rc = std::system(("python3 " + path + " " + bad +
-                                        " " + bad +
-                                        " > /dev/null 2>&1")
-                                           .c_str());
-            ASSERT_TRUE(WIFEXITED(rc)) << tool;
-            EXPECT_EQ(WEXITSTATUS(rc), 2)
-                << tool << " on " << bad
-                << ": want the documented usage/parse exit, not a "
-                   "traceback (1)";
-        }
+    const std::string path =
+        std::string(MRQ_SOURCE_DIR) + "/tools/heap_diff.py";
+    for (const std::string& bad : {empty, truncated}) {
+        const int rc = std::system(
+            ("python3 " + path + " " + bad + " " + bad +
+             " > /dev/null 2>&1")
+                .c_str());
+        ASSERT_TRUE(WIFEXITED(rc));
+        EXPECT_EQ(WEXITSTATUS(rc), 2)
+            << "heap_diff.py on " << bad
+            << ": want the documented usage/parse exit, not a "
+               "traceback (1)";
     }
 }
 

@@ -96,6 +96,31 @@ TEST_F(ParityTest, DotMatchesGenericBitExact)
     }
 }
 
+TEST_F(ParityTest, DotUnderflowKeepsSignedZeroOnEveryIsa)
+{
+    // Every product underflows to -0, so each of the 16 lanes a
+    // product lands on holds -0 and the untouched lanes hold +0: the
+    // sum is -0 exactly when n >= 16.  A vector tail that runs an fma
+    // of zeros on lanes past n turns their -0 into +0.
+    const KernelTable* generic = kernels::kernelTableFor(Isa::Generic);
+    ASSERT_NE(generic, nullptr);
+    for (std::size_t n = 1; n <= 33; ++n) {
+        const std::vector<float> a(n, -1e-30f);
+        const std::vector<float> b(n, 1e-30f);
+        const float want = generic->dot(a.data(), b.data(), n);
+        EXPECT_EQ(std::signbit(want), n >= kernels::kDotLanes)
+            << "generic dot n=" << n;
+        for (Isa isa : compiledIsas()) {
+            const float got =
+                kernels::kernelTableFor(isa)->dot(a.data(), b.data(), n);
+            EXPECT_EQ(std::memcmp(&want, &got, sizeof(float)), 0)
+                << "dot n=" << n << " isa=" << kernels::isaName(isa)
+                << " signbit want=" << std::signbit(want)
+                << " got=" << std::signbit(got);
+        }
+    }
+}
+
 TEST_F(ParityTest, ElementwiseKernelsMatchGenericBitExact)
 {
     Rng rng(102);

@@ -4,8 +4,7 @@
  * and size-class accounting through the interposed operators,
  * span/kernel attribution of sampled allocation stacks, the JSONL
  * schema round-trip against tools/check_heap_schema.py and a
- * heap_diff.py self-diff, folded-stack output, stats-endpoint
- * exposure, and the AllocGuard no-alloc regions — counting,
+ * heap_diff.py self-diff, folded-stack output, and the AllocGuard no-alloc regions — counting,
  * dismiss(), pool inheritance, and (in the death-test suite) the
  * strict mode's attributed exit 70.
  *
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "kernels/roofline.hpp"
-#include "obs/exposition.hpp"
 #include "obs/heap_profiler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -304,28 +302,6 @@ TEST(HeapProfiler, FoldedStacksCarrySpanAndByteWeight)
         EXPECT_GT(std::stoll(line.substr(space + 1)), 0) << line;
         start = end + 1;
     }
-}
-
-TEST(HeapProfiler, StatsEndpointExposesHeapState)
-{
-    if (!obs::heapInterpositionActive())
-        GTEST_SKIP() << "replacement operators not linked";
-    HeapProfGuard guard;
-    ASSERT_TRUE(guard.started());
-    churnHeap();
-
-    const obs::StatsSnapshot snap = obs::collectStatsSnapshot();
-    EXPECT_TRUE(snap.heapInterposed);
-    EXPECT_TRUE(snap.heapProfilerRunning);
-    EXPECT_GE(snap.heap.allocCount, 4);
-
-    const std::string json = obs::renderStatsJson(snap);
-    EXPECT_NE(json.find("\"heap\""), std::string::npos);
-    EXPECT_NE(json.find("\"interposed\":true"), std::string::npos);
-
-    const std::string prom = obs::renderPrometheus(snap);
-    EXPECT_NE(prom.find("mrq_heap_interposed 1"), std::string::npos);
-    EXPECT_NE(prom.find("mrq_heap_alloc_total"), std::string::npos);
 }
 
 // ---- AllocGuard ---------------------------------------------------

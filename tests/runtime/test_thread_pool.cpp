@@ -13,11 +13,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/fake_quant.hpp"
+#include "obs/env.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/ops.hpp"
 
@@ -67,6 +70,50 @@ expectSamePerPoolSize(Fn&& fn)
         SCOPED_TRACE("pool size " + std::to_string(threads));
         expectBitIdentical(fn(), reference);
     }
+}
+
+// MRQ_THREADS parsing goes through a pure helper, so out-of-range
+// values are tested without ever asking for that many threads.
+TEST(PoolThreadsFromEnv, AcceptsCountsInRange)
+{
+    std::string diag;
+    EXPECT_EQ(poolThreadsFromEnv("3", 8, &diag), 3u);
+    EXPECT_EQ(poolThreadsFromEnv("1", 8, &diag), 1u);
+    EXPECT_EQ(poolThreadsFromEnv(
+                  std::to_string(kMaxPoolThreads).c_str(), 8, &diag),
+              static_cast<std::size_t>(kMaxPoolThreads));
+    EXPECT_TRUE(diag.empty()) << diag;
+    // Unset or empty is the default, not an error.
+    EXPECT_EQ(poolThreadsFromEnv(nullptr, 8, &diag), 8u);
+    EXPECT_EQ(poolThreadsFromEnv("", 8, &diag), 8u);
+    EXPECT_EQ(poolThreadsFromEnv(nullptr, 0, &diag), 1u);
+    EXPECT_TRUE(diag.empty()) << diag;
+}
+
+TEST(PoolThreadsFromEnv, RejectsOutOfRangeAndOverflowWithDiagnostic)
+{
+    const std::string too_many = std::to_string(kMaxPoolThreads + 1);
+    for (const char* bad :
+         {"0", "-2", "abc", "4x", "4 ", too_many.c_str(),
+          "99999999999999999999", "-99999999999999999999"}) {
+        std::string diag;
+        EXPECT_EQ(poolThreadsFromEnv(bad, 6, &diag), 6u) << bad;
+        EXPECT_NE(diag.find("MRQ_THREADS="), std::string::npos) << bad;
+        EXPECT_EQ(diag.find('\n'), std::string::npos) << diag;
+        EXPECT_EQ(poolThreadsFromEnv(bad, 0, nullptr), 1u) << bad;
+    }
+}
+
+TEST(EnvParse, ParseLongRejectsOverflowInsteadOfClamping)
+{
+    EXPECT_EQ(obs::parseLong("42", 7), 42);
+    EXPECT_EQ(obs::parseLong("-42", 7), -42);
+    EXPECT_EQ(obs::parseLong("9223372036854775807", 7), LONG_MAX);
+    EXPECT_EQ(obs::parseLong("99999999999999999999", 7), 7);
+    EXPECT_EQ(obs::parseLong("-99999999999999999999", 7), 7);
+    EXPECT_EQ(obs::parseLong("12 ", 7), 7);
+    EXPECT_EQ(obs::parseLong("", 7), 7);
+    EXPECT_EQ(obs::parseLong(nullptr, 7), 7);
 }
 
 TEST_F(ThreadPoolTest, ResizeChangesThreadCount)

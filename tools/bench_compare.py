@@ -15,30 +15,25 @@ Exits non-zero when CURRENT regresses from BASELINE:
     Timing checks are OFF unless --check-timing is given, because
     trajectory files from different machines are not comparable.
 
-The "resources" map (schema v2: peak RSS, hardware perf counter
-totals; schema v3 adds alloc_bytes/alloc_count/peak_heap from the
-heap profiler) is machine-dependent like timing: it is never compared
-exactly, only noise-gated under --check-resources (worse by more
-than --resource-rtol, default 1.0 = 2x), and absent fields (perf or
-heap interposition unavailable in the environment) are never
-regressions.
+The "resources" map (schema v2: peak RSS; schema v3 adds
+alloc_bytes/alloc_count/peak_heap from the heap profiler) is
+machine-dependent like timing: it is never compared exactly, only
+noise-gated under --check-resources (worse by more than
+--resource-rtol, default 1.0 = 2x), and absent fields (heap
+interposition unavailable in the environment, or keys older runs
+recorded) are never regressions.
 
 New cases / new keys in CURRENT are reported but never fatal (the
 trajectory is expected to grow).  Improvements are never fatal.
 
-When both runs also recorded sample profiles (MRQ_SAMPLE_OUT pointing
+When both runs also recorded heap profiles (MRQ_HEAPPROF_OUT pointing
 into a directory, one <case-slug>.jsonl per case), pass
---samples-base=DIR and --samples-cur=DIR: every tripped timing gate
-then runs tools/profile_diff.py over that case's two profiles and
-prints the top stack deltas, so the CI failure names the code that
-got slower, not just the case.  A profile that is missing or
-unparsable (empty, truncated) downgrades to an "attribution
-unavailable" note — never a gate failure of its own.
-
-The same attribution exists for memory: with --heap-base=DIR and
---heap-cur=DIR (per-case heap profiles from MRQ_HEAPPROF_OUT), every
-tripped resources gate on a heap key runs tools/heap_diff.py and
-prints the top per-stack allocation deltas.
+--heap-base=DIR and --heap-cur=DIR: every tripped resources gate on a
+heap key then runs tools/heap_diff.py over that case's two profiles
+and prints the top per-stack allocation deltas, so the CI failure
+names the code that allocates more, not just the case.  A profile
+that is missing or unparsable (empty, truncated) downgrades to an
+"attribution unavailable" note — never a gate failure of its own.
 
 Options:
   --check-timing        enable the wall-clock regression gate
@@ -46,11 +41,8 @@ Options:
   --timing-floor-ms=MS  ignore timing deltas below MS (default 50)
   --value-rtol=R        relative tolerance for values/metrics
                         (default 0: exact)
-  --check-resources     enable the resources (RSS/perf/heap) noise
-                        gate
+  --check-resources     enable the resources (RSS/heap) noise gate
   --resource-rtol=R     relative resources slack (default 1.0)
-  --samples-base=DIR    per-case sample profiles of the baseline run
-  --samples-cur=DIR     per-case sample profiles of the current run
   --heap-base=DIR       per-case heap profiles of the baseline run
   --heap-cur=DIR        per-case heap profiles of the current run
 """
@@ -61,7 +53,6 @@ import re
 import sys
 
 import heap_diff
-import profile_diff
 
 FATAL = 1
 USAGE = 2
@@ -94,36 +85,18 @@ def rel_delta(base, cur):
 
 
 def slugify(label):
-    """Mirror of bench::slugify (harness.cpp): the per-case sample
+    """Mirror of bench::slugify (harness.cpp): the per-case heap
     profile of case X lives at <dir>/<slugify(X)>.jsonl."""
     out = re.sub(r"[^0-9A-Za-z]+", "_", label).strip("_").lower()
     return out or "value"
 
 
-def attribute_regression(case, samples_base, samples_cur):
-    """Run profile_diff over a regressed case's sample profiles and
-    return the report text, or None when either profile is absent.
-    A profile that exists but does not parse (empty, truncated,
+def attribute_heap_regression(case, heap_base, heap_cur):
+    """Run heap_diff over a regressed case's heap profiles and return
+    the report text, or None when either profile is absent.  A
+    profile that exists but does not parse (empty, truncated,
     mistyped fields) downgrades to an 'attribution unavailable'
     message, never an exception."""
-    name = slugify(case) + ".jsonl"
-    base_path = os.path.join(samples_base, name)
-    cur_path = os.path.join(samples_cur, name)
-    if not (os.path.isfile(base_path) and os.path.isfile(cur_path)):
-        return None
-    try:
-        base = profile_diff.load_profile(base_path)
-        cur = profile_diff.load_profile(cur_path)
-    except profile_diff.ProfileError as err:
-        return "attribution unavailable for %s: %s" % (case, err)
-    rows = profile_diff.diff_profiles(base, cur)
-    return profile_diff.format_report(rows, base_path, cur_path,
-                                      top=10)
-
-
-def attribute_heap_regression(case, heap_base, heap_cur):
-    """heap_diff counterpart of attribute_regression for tripped
-    resources gates on heap keys."""
     name = slugify(case) + ".jsonl"
     base_path = os.path.join(heap_base, name)
     cur_path = os.path.join(heap_cur, name)
@@ -143,13 +116,7 @@ class Comparison:
         self.opts = opts
         self.regressions = []
         self.notes = []
-        self.timing_regressed = []  # case names with tripped gates
-        self.heap_regressed = []    # cases with tripped heap keys
-
-    def regress_timing(self, case, msg):
-        if case not in self.timing_regressed:
-            self.timing_regressed.append(case)
-        self.regress(msg)
+        self.heap_regressed = []  # cases with tripped heap keys
 
     def regress_heap(self, case, msg):
         if case not in self.heap_regressed:
@@ -184,8 +151,7 @@ class Comparison:
                 continue
             b, c = base[key], cur[key]
             if c > b * (1.0 + rtol) and c - b > floor:
-                self.regress_timing(
-                    case,
+                self.regress(
                     f"{case}: {kind}[{key}] slowed {b:.3f} -> {c:.3f} "
                     f"(+{100.0 * (c - b) / max(b, 1e-300):.0f}%)")
 
@@ -193,8 +159,8 @@ class Comparison:
         rtol = self.opts["resource_rtol"]
         for key in sorted(base):
             if key not in cur:
-                # Perf counters are environment-dependent (containers,
-                # perf_event_paranoid); absence is never a regression.
+                # Heap accounting is build-dependent (sanitizers);
+                # absence is never a regression.
                 self.note(f"{case}: resources[{key}] absent in current")
                 continue
             b, c = base[key], cur[key]
@@ -238,8 +204,6 @@ def parse_args(argv):
         "value_rtol": 0.0,
         "check_resources": False,
         "resource_rtol": 1.0,
-        "samples_base": "",
-        "samples_cur": "",
         "heap_base": "",
         "heap_cur": "",
     }
@@ -249,10 +213,6 @@ def parse_args(argv):
             opts["check_timing"] = True
         elif arg == "--check-resources":
             opts["check_resources"] = True
-        elif arg.startswith("--samples-base="):
-            opts["samples_base"] = arg.split("=", 1)[1]
-        elif arg.startswith("--samples-cur="):
-            opts["samples_cur"] = arg.split("=", 1)[1]
         elif arg.startswith("--heap-base="):
             opts["heap_base"] = arg.split("=", 1)[1]
         elif arg.startswith("--heap-cur="):
@@ -301,22 +261,6 @@ def main(argv):
     if cmp.regressions:
         for msg in cmp.regressions:
             print(f"REGRESSION: {msg}", file=sys.stderr)
-        # A tripped timing gate comes with attribution when both runs
-        # recorded sample profiles.
-        if (cmp.timing_regressed and opts["samples_base"] and
-                opts["samples_cur"]):
-            for case in cmp.timing_regressed:
-                report = attribute_regression(case,
-                                              opts["samples_base"],
-                                              opts["samples_cur"])
-                if report is None:
-                    print(f"note: no sample profiles for {case}; "
-                          f"run with MRQ_SAMPLE_OUT for attribution",
-                          file=sys.stderr)
-                else:
-                    print(f"--- attribution for {case} ---",
-                          file=sys.stderr)
-                    print(report, file=sys.stderr)
         # Tripped heap-resource gates name the allocating stacks when
         # both runs recorded heap profiles.
         if (cmp.heap_regressed and opts["heap_base"] and

@@ -4,8 +4,8 @@
 Usage: check_bench_schema.py FILE [FILE ...]
 
 Schema (versions 1 through 3, written by bench/harness/report.cpp; v2
-added the per-case "resources" map — peak RSS and hardware perf
-counter totals, machine-dependent and therefore noise-gated by
+added the per-case "resources" map — peak RSS, machine-dependent
+and therefore noise-gated by
 bench_compare.py rather than compared exactly; v3 added the heap keys
 alloc_bytes / alloc_count / peak_heap to that same map, present only
 when the run had MRQ_HEAPPROF on — absence is never an error):
@@ -23,7 +23,7 @@ when the run had MRQ_HEAPPROF on — absence is never an error):
        "values": {str: num},          # deterministic at fixed tier
        "timing_values": {str: num},   # wall-clock, machine-dependent
        "metrics": {str: num},         # MetricsRegistry snapshot
-       "resources": {str: num}},      # v2+: RSS / perf / v3 heap
+       "resources": {str: num}},      # v2+: RSS / v3 heap
       ...
     ]
   }

@@ -20,7 +20,6 @@ write(2) — every line is one complete object):
             "signo" (int) and "fault_addr" ("0x..."); reason
             "terminate" may carry "exception_type".
   then      optional {"type": "manifest", ...} (the run manifest),
-            optional {"type": "stats", ...} (last sampler digest),
             optional {"type": "heap", "current_bytes": int,
              "peak_bytes": int, "alloc_count": int,
              "alloc_bytes": int, "free_count": int,
@@ -147,8 +146,6 @@ def main(argv):
             fail(path, lineno, "duplicate header")
         elif t == "manifest":
             check_str(path, lineno, obj, "run")
-        elif t == "stats":
-            check_int(path, lineno, obj, "sample")
         elif t == "heap":
             for key in ("current_bytes", "peak_bytes", "alloc_count",
                         "alloc_bytes", "free_count", "free_bytes",

@@ -4,7 +4,7 @@
 Usage: mrq_postmortem.py FILE [--tail N]
 
 Sections: crash summary (reason/signal/thread/peak RSS), run
-manifest, last stats digest, symbolized backtrace, and the last N
+manifest, symbolized backtrace, and the last N
 flight-recorder events per thread with times relative to the newest
 event (the crash instant, near enough).
 
@@ -24,7 +24,6 @@ import sys
 def load(path):
     header = None
     manifest = None
-    stats = None
     frames = []
     flights = []
     end = None
@@ -42,15 +41,13 @@ def load(path):
                 header = obj
             elif t == "manifest":
                 manifest = obj
-            elif t == "stats":
-                stats = obj
             elif t == "frame":
                 frames.append(obj)
             elif t == "flight":
                 flights.append(obj)
             elif t == "postmortem_end":
                 end = obj
-    return header, manifest, stats, frames, flights, end
+    return header, manifest, frames, flights, end
 
 
 def demangler():
@@ -87,7 +84,7 @@ def main(argv):
         print(__doc__, file=sys.stderr)
         return 2
     path = paths[0]
-    header, manifest, stats, frames, flights, end = load(path)
+    header, manifest, frames, flights, end = load(path)
     if header is None:
         print(f"{path}: no postmortem header found", file=sys.stderr)
         return 1
@@ -114,12 +111,6 @@ def main(argv):
     if manifest is not None:
         print("\n---- run manifest ----")
         for k, v in manifest.items():
-            if k != "type":
-                print(f"  {k}: {v}")
-
-    if stats is not None:
-        print("\n---- last stats sample ----")
-        for k, v in stats.items():
             if k != "type":
                 print(f"  {k}: {v}")
 

@@ -6,7 +6,7 @@ Usage: trace_report.py [--top=N] FILE
 Sections:
   self time    top-N span paths by self time (total minus time covered
                by nested spans on the same thread track) with call
-               counts — the timeline-derived twin of MRQ_PROFILE=1
+               counts
   stragglers   per parallel-region "pool.chunk" spread: how much the
                slowest chunk exceeds the median (Sec. 7.4's straggler
                headroom, observed instead of simulated)
